@@ -83,8 +83,10 @@ class Payload {
   }
 
   /// Concatenates many parts in one pass (linear, unlike repeated concat).
-  /// Any phantom part degrades the whole result to phantom.
+  /// Any phantom part degrades the whole result to phantom; a lone part is
+  /// returned as is, sharing its buffer.
   static Payload gather(const std::vector<Payload>& parts) {
+    if (parts.size() == 1) return parts.front();
     std::uint64_t total = 0;
     bool real = true;
     for (const Payload& p : parts) {

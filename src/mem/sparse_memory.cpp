@@ -44,21 +44,20 @@ Payload SparseMemory::read(std::uint64_t addr, std::uint64_t len) const {
   assert(addr + len <= size_ && "read out of memory bounds");
   bytes_read_ += len;
   if (len == 0) return Payload{};
-  const std::uint64_t first = addr / kPageSize;
-  const std::uint64_t last = (addr + len - 1) / kPageSize;
-  for (std::uint64_t pg = first; pg <= last; ++pg) {
-    if (!pages_.contains(pg)) return Payload::phantom(len);
-  }
-  std::vector<std::byte> out(len);
-  std::uint64_t off = 0;
-  while (off < len) {
-    const std::uint64_t a = addr + off;
-    const std::uint64_t pg = a / kPageSize;
-    const std::uint64_t in_page = a % kPageSize;
-    const std::uint64_t n = std::min<std::uint64_t>(kPageSize - in_page, len - off);
-    const Page& page = pages_.at(pg);
-    std::memcpy(out.data() + off, page.data() + in_page, n);
-    off += n;
+  // One lookup per page; any missing page makes the whole read phantom.
+  // The output is reserved only once the first page is found, so a
+  // phantom read allocates nothing.
+  std::vector<std::byte> out;
+  std::uint64_t in_page = addr % kPageSize;
+  for (std::uint64_t pg = addr / kPageSize; out.size() < len; ++pg) {
+    const auto it = pages_.find(pg);
+    if (it == pages_.end()) return Payload::phantom(len);
+    if (out.empty()) out.reserve(len);
+    const std::byte* src = it->second.data() + in_page;
+    const std::uint64_t n =
+        std::min<std::uint64_t>(kPageSize - in_page, len - out.size());
+    out.insert(out.end(), src, src + n);
+    in_page = 0;
   }
   return Payload::bytes(std::move(out));
 }

@@ -32,17 +32,16 @@ sim::Task OnboardDramBackend::drain(Bytes off, Bytes len, Payload* out) {
   const std::uint32_t req = fpga_.readout_req_bytes / 2;  // 256 B DRAM reads
   if (!is_bulk(len)) {
     // Latency-bound small drain: sequential requests, one round trip each.
-    Payload acc;
+    std::vector<Payload> parts;
     std::uint64_t done = 0;
     while (done < len.value()) {
       const std::uint64_t n = std::min<std::uint64_t>(req, len.value() - done);
       auto fut = dram_.read((region_base_ + off).value() + done, n);
-      Payload part = co_await fut;
+      parts.push_back(co_await fut);
       co_await sim_.delay(kAxiReadoutRoundTrip);
-      acc = done == 0 ? std::move(part) : Payload::concat(acc, part);
       done += n;
     }
-    *out = std::move(acc);
+    *out = Payload::gather(parts);
     co_return;
   }
   // Bulk drain: the mover ramps its request window; model as one pipelined
@@ -92,17 +91,17 @@ sim::Task HostDramBackend::drain(Bytes off, Bytes len, Payload* out) {
   if (!is_bulk(len)) {
     // Depth-1 small drain: each 512 B read pays the host round trip --
     // the +9 us delta of Fig. 4c for a 4 kB command.
-    Payload acc;
+    std::vector<Payload> parts;
     std::uint64_t done = 0;
     while (done < len.value()) {
       const std::uint64_t n = std::min<std::uint64_t>(req, len.value() - done);
       auto fut = fabric_.read(fpga_port_, xlat_.translate(off + Bytes{done}),
                               Bytes{n});
       auto rr = co_await fut;
-      acc = done == 0 ? std::move(rr.data) : Payload::concat(acc, rr.data);
+      parts.push_back(std::move(rr.data));
       done += n;
     }
-    *out = std::move(acc);
+    *out = Payload::gather(parts);
     co_return;
   }
   // Bulk drain: the mover raises its read-request size to a full page (the

@@ -272,7 +272,7 @@ sim::Task Driver::resubmit_one(IoDesc io, std::uint32_t attempt, Payload stage,
 sim::Task Driver::read(Lba lba, Bytes bytes, Payload* out,
                        nvme::Status* status) {
   nvme::Status final_status = nvme::Status::kSuccess;
-  Payload assembled;
+  std::vector<Payload> parts;
   Bytes done_bytes;
   while (done_bytes < bytes) {
     const Bytes n = std::min(bytes - done_bytes, max_transfer_);
@@ -305,14 +305,12 @@ sim::Task Driver::read(Lba lba, Bytes bytes, Payload* out,
     // the calibrated host-stack term of Fig. 4c.
     co_await sim_.delay(host_.spdk_read_stack);
     if (out != nullptr) {
-      Payload part =
-          host_mem_.store().read(local(buffer_off(slot)).value(), n.value());
-      assembled = assembled.empty() ? std::move(part)
-                                    : Payload::concat(assembled, part);
+      parts.push_back(
+          host_mem_.store().read(local(buffer_off(slot)).value(), n.value()));
     }
     done_bytes += n;
   }
-  if (out != nullptr) *out = std::move(assembled);
+  if (out != nullptr) *out = Payload::gather(parts);
   if (status != nullptr) *status = final_status;
 }
 

@@ -56,6 +56,39 @@ TEST(SparseMemory, PartialPageOverwrite) {
   EXPECT_EQ(static_cast<std::uint8_t>(v[150]), 0xAA);
 }
 
+TEST(SparseMemory, HoleInMiddlePageReadsPhantom) {
+  mem::SparseMemory m(1 * MiB);
+  m.fill(0, 3 * 4096, 0x5A);
+  m.write(4096, Payload::phantom(4096));  // drops page 1 only
+  // Pages 0 and 2 are real, so only the middle page makes the read phantom.
+  Payload got = m.read(100, 3 * 4096 - 200);
+  EXPECT_FALSE(got.has_data());
+  EXPECT_EQ(got.size(), 3u * 4096 - 200);
+  EXPECT_TRUE(m.read(0, 4096).has_data());
+  EXPECT_TRUE(m.read(2 * 4096, 4096).has_data());
+}
+
+TEST(SparseMemory, LongOddOffsetReadCrossesPagesExactly) {
+  mem::SparseMemory m(1 * MiB);
+  // Starts at an odd in-page offset and touches 21 pages, so every page
+  // boundary falls inside the copy.
+  constexpr std::uint64_t kAddr = 3 * 4096 + 777;
+  constexpr std::uint64_t kLen = 20 * 4096 + 1234;
+  std::vector<std::byte> data(kLen);
+  for (std::uint64_t i = 0; i < kLen; ++i) {
+    data[i] = static_cast<std::byte>((i * 131 + i / 4096) & 0xFF);
+  }
+  const Payload written = Payload::bytes(data);
+  m.write(kAddr, written);
+  Payload got = m.read(kAddr, kLen);
+  ASSERT_TRUE(got.has_data());
+  EXPECT_TRUE(got.content_equals(written));
+  // A sub-range that starts and ends inside pages reads the same bytes.
+  Payload mid = m.read(kAddr + 5000, 17 * 4096 + 3);
+  ASSERT_TRUE(mid.has_data());
+  EXPECT_TRUE(mid.content_equals(written.slice(5000, 17 * 4096 + 3)));
+}
+
 // ---------------------------------------------------------------------------
 // URAM / DRAM timing
 
