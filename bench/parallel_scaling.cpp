@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,7 +202,9 @@ GoodputResult bench_goodput(std::uint32_t domains) {
   EthProfile eth_profile;
   std::vector<std::unique_ptr<eth::Wire>> wires;
   std::vector<std::unique_ptr<eth::Mac>> macs;
-  std::uint64_t heartbeats_received = 0;
+  // One counter per receiving domain: the receivers run on different
+  // domains' threads, so a shared counter would be a data race.
+  std::vector<std::uint64_t> heartbeats_received(domains, 0);
   if (domains > 1) {
     for (std::uint32_t i = 0; i < domains; ++i) {
       sim::Domain& a = cluster.domain(i);
@@ -215,7 +218,8 @@ GoodputResult bench_goodput(std::uint32_t domains) {
       mac_a->start();
       mac_b->start();
       a.spawn(heartbeat_tx(mac_a.get(), &a, /*beats=*/200));
-      b.spawn(heartbeat_rx(mac_b.get(), &heartbeats_received));
+      b.spawn(heartbeat_rx(mac_b.get(),
+                           &heartbeats_received[(i + 1) % domains]));
       wires.push_back(std::move(fwd));
       wires.push_back(std::move(rev));
       macs.push_back(std::move(mac_a));
@@ -232,7 +236,8 @@ GoodputResult bench_goodput(std::uint32_t domains) {
   cluster.run_until(seconds(11));
   GoodputResult r;
   r.wall_seconds = seconds_since(t0);
-  r.heartbeats = heartbeats_received;
+  r.heartbeats = std::accumulate(heartbeats_received.begin(),
+                                 heartbeats_received.end(), std::uint64_t{0});
   r.all_done = true;
   for (const Node& n : nodes) {
     if (!n.done) {

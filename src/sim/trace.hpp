@@ -21,7 +21,6 @@ enum class TraceCat : std::uint32_t {
   kNvmeComplete = 1u << 1,   // CQE posted
   kStreamerCmd = 1u << 2,    // user command accepted / split
   kStreamerRetire = 1u << 3, // in-order retirement
-  kPcie = 1u << 4,           // fabric transactions (very chatty)
   kEth = 1u << 5,            // pause transitions
   kUser = 1u << 6,           // application-level markers
   kAll = 0xFFFFFFFF,
@@ -94,7 +93,6 @@ class Tracer {
       case TraceCat::kNvmeComplete: return "nvme-complete";
       case TraceCat::kStreamerCmd: return "streamer-cmd";
       case TraceCat::kStreamerRetire: return "streamer-retire";
-      case TraceCat::kPcie: return "pcie";
       case TraceCat::kEth: return "eth";
       case TraceCat::kUser: return "user";
       case TraceCat::kAll: break;

@@ -411,9 +411,12 @@ sim::Task NvmeStreamer::retire_loop() {
         rob_.reopen_head();
         // The pairing release happened cross-coroutine: handle_cqe() gave
         // this command's credit back when the error CQE arrived, so this
-        // acquire re-pairs with that release, not with the original issue.
-        // snacc-lint: allow(ts-credit): cross-coroutine handoff, see above.
-        if (cfg_.out_of_order && had_cqe) co_await issue_credits_->acquire();
+        // acquire re-pairs with that release, not with the original issue,
+        // and this pump parks at wait_head() holding the credit until then.
+        if (cfg_.out_of_order && had_cqe) {
+          // snacc-lint: allow(resource-pairing): handle_cqe() releases it.
+          co_await issue_credits_->acquire();  // snacc-lint: allow(ts-credit)
+        }
         co_await sim_.delay(cfg_.retry_backoff * (1ull << (attempt - 1)));
         co_await submit(sub, is_write, slot, abs_off);
         continue;

@@ -19,6 +19,7 @@
 #include "lint/scope.hpp"
 #include "lint/source.hpp"
 #include "lint/summary.hpp"
+#include "lint/typestate.hpp"
 
 namespace {
 
@@ -95,6 +96,25 @@ const lint::CallSite* site_calling(const Prog& p, int file,
   }
   EXPECT_NE(found, nullptr) << "no call to '" << callee_name << "'";
   return found;
+}
+
+/// `def`'s protocol effects from the tables of rule id `rule`, each rendered
+/// as "<param>:<event>,<event>..." (param -1: a named receiver).
+std::vector<std::string> effects(const lint::ProgramInfo& info, int def,
+                                 std::string_view rule) {
+  std::vector<std::string> out;
+  for (const lint::ProtocolEffect& e :
+       info.summaries[static_cast<std::size_t>(def)].protocols) {
+    const lint::TsProtocol& p = lint::typestate_protocols()[e.protocol];
+    if (p.rule_name != rule) continue;
+    std::string s = std::to_string(e.recv_param) + ":";
+    for (std::size_t k = 0; k < e.events.size(); ++k) {
+      if (k > 0) s += ",";
+      s += std::string(p.events[static_cast<std::size_t>(e.events[k])]);
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
 }
 
 lint::ScanResult analyze_texts(
@@ -279,7 +299,7 @@ TEST(LintCallGraph, RootIdentAndGlobMatch) {
 // ---------------------------------------------------------------------------
 // Summaries.
 
-TEST(LintSummary, ResourceEffectsBottomUp) {
+TEST(LintSummary, PairingEffectsBottomUp) {
   const auto w = build_whole({{"src/a.cpp",
                                "void grab(Sem* gate) {\n"
                                "  gate->acquire();\n"
@@ -292,24 +312,18 @@ TEST(LintSummary, ResourceEffectsBottomUp) {
                                "  gate->release();\n"
                                "}\n"}});
   const auto& g = w.info.graph;
-  const auto& grab = w.info.summaries[def_named(g, "grab")];
-  ASSERT_EQ(grab.resources.size(), 1u);
-  EXPECT_TRUE(grab.resources[0].may_acquire);
-  EXPECT_FALSE(grab.resources[0].may_release);
-  EXPECT_FALSE(grab.resources[0].releases_all);
-  EXPECT_EQ(grab.resources[0].recv_param, 0);
-  EXPECT_EQ(grab.resources[0].acquire_line, 2u);
-
-  const auto& put = w.info.summaries[def_named(g, "put_back")];
-  ASSERT_EQ(put.resources.size(), 1u);
-  EXPECT_FALSE(put.resources[0].may_acquire);
-  EXPECT_TRUE(put.resources[0].may_release);
-
-  // Balanced on its only path: callers must see no net effect.
-  const auto& probe = w.info.summaries[def_named(g, "probe")];
-  ASSERT_EQ(probe.resources.size(), 1u);
-  EXPECT_TRUE(probe.resources[0].may_acquire);
-  EXPECT_TRUE(probe.resources[0].releases_all);
+  const int grab = def_named(g, "grab");
+  using V = std::vector<std::string>;
+  EXPECT_EQ(effects(w.info, grab, "resource-pairing"), V{"0:acquire"});
+  ASSERT_EQ(w.info.summaries[grab].protocols.size(), 1u);
+  EXPECT_EQ(w.info.summaries[grab].protocols[0].lines,
+            std::vector<std::uint32_t>{2});
+  EXPECT_EQ(effects(w.info, def_named(g, "put_back"), "resource-pairing"),
+            V{"0:release"});
+  // Balanced on its only path: callers splice the whole pair, so the
+  // object ends where it started.
+  EXPECT_EQ(effects(w.info, def_named(g, "probe"), "resource-pairing"),
+            V{"0:acquire,release"});
 }
 
 TEST(LintSummary, StatusParamsAndAsyncPropagation) {
@@ -324,11 +338,12 @@ TEST(LintSummary, StatusParamsAndAsyncPropagation) {
                                "  return job();\n"
                                "}\n"}});
   const auto& g = w.info.graph;
-  const auto& fill = w.info.summaries[def_named(g, "fill")];
-  ASSERT_EQ(fill.params.size(), 2u);
-  EXPECT_TRUE(fill.params[0].is_status_out);
-  EXPECT_TRUE(fill.params[0].status_written);
-  EXPECT_FALSE(fill.params[1].is_status_out);
+  // The assignment is a write of the PutStatus parameter, and nothing
+  // happens to the Store as far as any protocol is concerned.
+  const int fill = def_named(g, "fill");
+  EXPECT_EQ(effects(w.info, fill, "unchecked-status-path"),
+            std::vector<std::string>{"0:write"});
+  EXPECT_EQ(w.info.summaries[fill].protocols.size(), 1u);
 
   // `auto relay()` declares nothing; its asyncness arrives by propagation
   // from the return site's resolved callee.
@@ -475,7 +490,7 @@ TEST(LintSummaryCache, CorruptCacheRecovers) {
   {
     std::FILE* f = std::fopen(cache.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("snacc-lint-cache v2\n\x01\xff not a summary table\n", f);
+    std::fputs("snacc-lint-cache v3\n\x01\xff not a summary table\n", f);
     std::fclose(f);
   }
   const auto res = analyze_texts({kHelperFile, kCallerFile}, opts);

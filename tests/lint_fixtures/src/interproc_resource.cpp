@@ -16,8 +16,8 @@ void ipr_put_back(Sem* gate) {
   gate->release();
 }
 
-// Balanced helper: acquires AND releases on its only path, so its summary
-// contributes nothing to callers (releases_all swallows the acquire).
+// Balanced helper: acquires AND releases on its only path, so callers
+// splice in the whole pair and the object ends where it started.
 void ipr_probe(Sem* gate) {
   gate->acquire();
   gate->release();

@@ -15,7 +15,7 @@ void ips_require(PutStatus& st) {
   require_ok(st);
 }
 
-// Ignores its PutStatus parameter entirely: neither a fill nor a check.
+// Only casts its PutStatus parameter away: a plain read, so a check.
 void ips_ignore(PutStatus& st) {
   (void)st;
 }
@@ -54,8 +54,8 @@ sim::Task ips_checked_by_helper(Store* store, bool fast) {
   co_return;
 }
 
-// NEGATIVE (near-miss): a helper that ignores the status is neither a fill
-// nor a check; the direct fill below is checked on the only path.
+// NEGATIVE (near-miss): a helper that never writes the status is no fill;
+// the direct fill below is checked on the only path.
 sim::Task ips_inert_helper(Store* store) {
   PutStatus st = PutStatus::kOk;
   store->put("k", 2, &st);

@@ -1,10 +1,10 @@
-// summary-leak fixture: a coroutine acquires a resource through a callee
-// (so the acquire is invisible without summaries), then can park at a
-// suspension point from which no path ever reaches function exit -- the
-// credit is held forever. The rule only tracks callee-substituted acquires;
-// direct acquires are resource-pairing's business, and the pairing gate
-// (both an acquire and a release somewhere in the body) still applies.
-// Every positive here is silent under --no-summaries.
+// resource-pairing's parked-forever obligation: a coroutine acquires a
+// credit (through a callee, so invisible without summaries, or directly),
+// then can park at a suspension point from which no path ever reaches
+// function exit -- the credit is held forever by a frame that never
+// finishes. The pairing gate (a release somewhere in the body) still
+// applies. The callee-acquired positives are silent under --no-summaries;
+// the direct one (sl_direct) is not.
 // Fixtures are scanned, not compiled.
 namespace fix {
 
@@ -62,8 +62,8 @@ sim::Task sl_bounded(Sem* credits, Chan* ch, int n) {
   co_return;
 }
 
-// NEGATIVE (near-miss): the acquire is direct, not through a callee --
-// resource-pairing territory, and its exit paths all release anyway.
+// POSITIVE: a direct acquire; every exit path releases, but the slow path
+// parks in the `while (true)` pump with the credit still held.
 sim::Task sl_direct(Sem* credits, Chan* ch, bool fast) {
   credits->acquire();
   if (fast) {

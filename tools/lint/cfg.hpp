@@ -59,8 +59,8 @@ Cfg build_cfg(const std::vector<Token>& toks, const ScopeInfo& scopes,
 
 /// Per-block reachability of the CFG exit: `result[b]` is true when some
 /// path from block `b` reaches the exit block. False for every block of a
-/// `while (true)` pump past the last escape -- the "suspends forever"
-/// region the summary layer and the summary-leak rule reason about.
+/// `while (true)` pump past the last escape -- the "parks forever" region
+/// the typestate engine's obligations also cover.
 std::vector<bool> blocks_reaching_exit(const Cfg& cfg);
 
 /// Lazily-built per-function CFGs for one file, shared by every flow rule

@@ -1,12 +1,12 @@
 // liblint: forward dataflow over a Cfg.
 //
 // A deliberately small gen/kill framework: facts are dense small integers
-// chosen by the rule (acquire sites, moved-from locals, pending statuses),
-// the meet is union ("may" analysis), and the solver iterates to a fixed
-// point so facts propagate correctly around loop back edges. Rules compute
-// each block's *net* gen/kill by walking the block's tokens in order
-// (last-event-wins), then read `in`/`out` back, so intra-block precision
-// stays in the rule and the framework stays four operations big.
+// chosen by the rule (use-after-move's moved-from locals), the meet is
+// union ("may" analysis), and the solver iterates to a fixed point so facts
+// propagate correctly around loop back edges. A rule computes each block's
+// *net* gen/kill by walking the block's tokens in order (last-event-wins),
+// then reads `in` back, so intra-block precision stays in the rule and the
+// framework stays small.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,6 @@ class ForwardMay {
   void solve();
 
   bool in(int block, std::size_t fact) const;
-  bool out(int block, std::size_t fact) const;
-  bool gen(int block, std::size_t fact) const;
 
   /// A shortest block path along which `fact` is generated and survives
   /// to `to`: starts at some block whose gen set holds `fact`, every

@@ -13,10 +13,6 @@ namespace lint {
 
 namespace {
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
 class ValueEscape final : public Rule {
  public:
   std::string_view name() const override { return "value-escape"; }

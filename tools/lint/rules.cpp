@@ -14,11 +14,47 @@
 
 namespace lint {
 
-namespace {
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
+
+std::vector<std::pair<std::size_t, std::size_t>> child_ranges(
+    const ScopeInfo& scopes, int idx) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (const FuncScope& g : scopes.funcs) {
+    if (g.parent == idx) out.emplace_back(g.body_begin, g.body_end);
+  }
+  return out;
+}
+
+bool in_ranges(const std::vector<std::pair<std::size_t, std::size_t>>& rs,
+               std::size_t i) {
+  for (const auto& [b, e] : rs) {
+    if (i >= b && i <= e) return true;
+  }
+  return false;
+}
+
+bool plain_use(const std::vector<Token>& toks, std::size_t i) {
+  if (i > 0 && (toks[i - 1].is(".") || toks[i - 1].is("->") ||
+                toks[i - 1].is("::"))) {
+    return false;
+  }
+  return i + 1 >= toks.size() || !toks[i + 1].is("::");
+}
+
+std::string callee_name(const ProgramInfo& prog, int def) {
+  const std::string_view n =
+      prog.graph.defs()[static_cast<std::size_t>(def)].name;
+  return n.empty() ? std::string("<lambda>") : std::string(n);
+}
+
+const std::string& callee_file(const ProgramInfo& prog, int def) {
+  return prog.file_rels[static_cast<std::size_t>(
+      prog.graph.defs()[static_cast<std::size_t>(def)].file)];
+}
+
+namespace {
 
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -578,15 +614,11 @@ class CrossDomainTouch final : public Rule {
 
 }  // namespace
 
-// Defined in rules_coro.cpp / rule_value_escape.cpp / rules_flow.cpp /
-// typestate.cpp.
+// Defined in rules_coro.cpp / rule_value_escape.cpp / rules_flow.cpp.
 std::unique_ptr<Rule> make_dangling_capture();
 std::unique_ptr<Rule> make_discarded_async();
 std::unique_ptr<Rule> make_value_escape();
-std::unique_ptr<Rule> make_resource_pairing();
 std::unique_ptr<Rule> make_use_after_move();
-std::unique_ptr<Rule> make_unchecked_status_path();
-std::unique_ptr<Rule> make_summary_leak();
 
 const std::vector<std::unique_ptr<Rule>>& all_rules() {
   static const std::vector<std::unique_ptr<Rule>> kRules = [] {
@@ -601,10 +633,7 @@ const std::vector<std::unique_ptr<Rule>>& all_rules() {
     r.push_back(make_dangling_capture());
     r.push_back(make_discarded_async());
     r.push_back(make_value_escape());
-    r.push_back(make_resource_pairing());
     r.push_back(make_use_after_move());
-    r.push_back(make_unchecked_status_path());
-    r.push_back(make_summary_leak());
     for (auto& ts : make_typestate_rules()) r.push_back(std::move(ts));
     return r;
   }();

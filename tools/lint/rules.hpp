@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "lint/cfg.hpp"
@@ -69,17 +70,24 @@ struct PolicyEntry {
 };
 const std::vector<PolicyEntry>& value_escape_policy();
 
-/// Policy table for the resource-pairing rule: known acquire/release verb
-/// pairs keyed by a receiver glob ('*' wildcard). A function that both
-/// acquires and releases a matching resource must release it on *every*
-/// path to exit; acquire-only functions are deliberate handoffs (the
-/// streamer's cross-coroutine credit protocol) and stay silent. Exposed
-/// for the docs self-test.
-struct ResourcePairEntry {
-  std::string_view receiver_glob;  // matched against the receiver identifier
-  std::string_view acquire;        // method name that acquires
-  std::string_view release;        // method name that must pair with it
-};
-const std::vector<ResourcePairEntry>& resource_pair_policy();
+// --- helpers shared by the rules and the summary layer ---------------------
+
+bool starts_with(std::string_view s, std::string_view prefix);
+
+/// Token ranges of `scopes.funcs[idx]`'s direct child lambdas: a lambda body
+/// is its own FuncScope with its own CFG, so the parent's scans skip it.
+std::vector<std::pair<std::size_t, std::size_t>> child_ranges(
+    const ScopeInfo& scopes, int idx);
+bool in_ranges(const std::vector<std::pair<std::size_t, std::size_t>>& rs,
+               std::size_t i);
+
+/// Free-standing use of the identifier at `i`: not a member access (`x.v`)
+/// or part of a qualified name.
+bool plain_use(const std::vector<Token>& toks, std::size_t i);
+
+/// Display name of a resolved callee (lambdas bound to a name carry it) and
+/// the scan-root-relative path of its file, for cross-file PathSteps.
+std::string callee_name(const ProgramInfo& prog, int def);
+const std::string& callee_file(const ProgramInfo& prog, int def);
 
 }  // namespace lint

@@ -26,32 +26,8 @@ bool builtin_name(std::string_view t) {
 /// access (`x.f`, `x->f`), not a qualified name (`ns::f`, `f::g`), and not
 /// a declaration keyword.
 bool free_use(const std::vector<Token>& toks, std::size_t i) {
-  if (toks[i].kind != Tok::kIdent || builtin_name(toks[i].text)) return false;
-  if (i > 0 && (toks[i - 1].is(".") || toks[i - 1].is("->") ||
-                toks[i - 1].is("::"))) {
-    return false;
-  }
-  if (i + 1 < toks.size() && toks[i + 1].is("::")) return false;
-  return true;
-}
-
-/// Token ranges of `f`'s direct children, to keep nested lambdas' bodies
-/// out of `f`'s own use analysis.
-std::vector<std::pair<std::size_t, std::size_t>> child_ranges(
-    const ScopeInfo& scopes, int idx) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (const FuncScope& g : scopes.funcs) {
-    if (g.parent == idx) out.emplace_back(g.body_begin, g.body_end);
-  }
-  return out;
-}
-
-bool in_ranges(const std::vector<std::pair<std::size_t, std::size_t>>& rs,
-               std::size_t i) {
-  for (const auto& [b, e] : rs) {
-    if (i >= b && i <= e) return true;
-  }
-  return false;
+  return toks[i].kind == Tok::kIdent && !builtin_name(toks[i].text) &&
+         plain_use(toks, i);
 }
 
 // ---------------------------------------------------------------------------

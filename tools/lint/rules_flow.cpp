@@ -1,26 +1,9 @@
-// Path-sensitive rules over the CFG/dataflow layers (cfg.hpp,
-// dataflow.hpp). Each rule turns a function body into per-block gen/kill
-// events, lets ForwardMay push them around branches and loops, and reports
-// with the offending path attached (Finding::path -> SARIF codeFlows):
-//
-//   resource-pairing      an acquire from the policy table can reach
-//                         function exit without its release -- acquires
-//                         made *inside a resolved callee* count too, via
-//                         the summary layer's substituted events
-//   use-after-move        a moved-from Payload/Chunk local is read on some
-//                         path before reassignment
-//   unchecked-status-path a PutStatus out-param is filled but dropped on
-//                         some path (the flow upgrade of unchecked-put);
-//                         with summaries, passing the status by reference
-//                         to a writer helper is a fill and passing it to a
-//                         checker helper is the check
-//   summary-leak          a coroutine acquires through a callee and can
-//                         then suspend at a point from which it never
-//                         returns, with the resource still held
-//
-// All interprocedural extensions degrade gracefully: with
-// `ctx.prog == nullptr` (--no-summaries) each rule reproduces its older
-// intraprocedural behaviour exactly, and summary-leak stays silent.
+// use-after-move: the path-sensitive rule that stays hand-written on the
+// CFG/dataflow layers (cfg.hpp, dataflow.hpp). It turns a function body into
+// per-block gen/kill events, lets ForwardMay push them around branches and
+// loops, and reports with the offending path attached (Finding::path ->
+// SARIF codeFlows). The other path-sensitive rules are protocol tables on
+// the typestate engine (typestate.cpp).
 #include <algorithm>
 #include <map>
 #include <string>
@@ -29,56 +12,10 @@
 
 #include "lint/dataflow.hpp"
 #include "lint/rules.hpp"
-#include "lint/summary.hpp"
 
 namespace lint {
 
 namespace {
-
-bool path_starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
-/// Display name of a resolved callee (lambdas bound to a name carry it).
-std::string callee_name(const ProgramInfo& prog, int def) {
-  const std::string_view n = prog.graph.defs()[static_cast<std::size_t>(def)].name;
-  return n.empty() ? std::string("<lambda>") : std::string(n);
-}
-
-/// Scan-root-relative path of a resolved callee's file.
-const std::string& callee_file(const ProgramInfo& prog, int def) {
-  return prog.file_rels[static_cast<std::size_t>(
-      prog.graph.defs()[static_cast<std::size_t>(def)].file)];
-}
-
-/// Token ranges of `idx`'s direct child lambdas: a lambda body is its own
-/// FuncScope with its own CFG, so the parent's event scan skips it.
-std::vector<std::pair<std::size_t, std::size_t>> child_ranges(
-    const ScopeInfo& scopes, int idx) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (const FuncScope& g : scopes.funcs) {
-    if (g.parent == idx) out.emplace_back(g.body_begin, g.body_end);
-  }
-  return out;
-}
-
-bool in_ranges(const std::vector<std::pair<std::size_t, std::size_t>>& rs,
-               std::size_t i) {
-  for (const auto& [b, e] : rs) {
-    if (i >= b && i <= e) return true;
-  }
-  return false;
-}
-
-/// Free-standing use: not a member access (`x.v`) or qualified name.
-bool plain_use(const std::vector<Token>& toks, std::size_t i) {
-  if (i > 0 && (toks[i - 1].is(".") || toks[i - 1].is("->") ||
-                toks[i - 1].is("::"))) {
-    return false;
-  }
-  if (i + 1 < toks.size() && toks[i + 1].is("::")) return false;
-  return true;
-}
 
 /// Appends the interior of a block path (everything between the first and
 /// last step, which the caller renders itself) as PathSteps, skipping
@@ -93,150 +30,6 @@ void append_interior(const Cfg& cfg, const std::vector<int>& path,
     last = ln;
   }
 }
-
-// ---------------------------------------------------------------------------
-// resource-pairing
-
-class ResourcePairing final : public Rule {
- public:
-  std::string_view name() const override { return "resource-pairing"; }
-  std::string_view description() const override {
-    return "acquire from the resource policy table can reach function exit "
-           "without its matching release on some path";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    const auto& policy = resource_pair_policy();
-    for (std::size_t fi = 0; fi < ctx.scopes.funcs.size(); ++fi) {
-      const FuncScope& f = ctx.scopes.funcs[fi];
-      if (f.body_end <= f.body_begin) continue;
-      const Cfg& cfg = ctx.cfgs.get(static_cast<int>(fi));
-
-      // Acquire/release events per block, keyed by (policy row, receiver):
-      // direct calls plus -- when the program layer is on -- effects of
-      // resolved callees substituted at their call sites.
-      const auto evs = resource_events(ctx.prog, ctx.file_index, ctx.file,
-                                       ctx.scopes, cfg, static_cast<int>(fi));
-      std::map<std::pair<std::size_t, std::string>, std::size_t> keys;
-      struct KeyInfo {
-        std::size_t policy_row;
-        std::string recv;
-        int acquires = 0;
-        int releases = 0;
-      };
-      std::vector<KeyInfo> key_info;
-      for (const auto& block_evs : evs) {
-        for (const ResourceEventEx& e : block_evs) {
-          const auto [it, fresh] =
-              keys.try_emplace({e.row, e.recv}, key_info.size());
-          if (fresh) key_info.push_back({e.row, e.recv});
-          KeyInfo& ki = key_info[it->second];
-          (e.acquire ? ki.acquires : ki.releases)++;
-        }
-      }
-
-      // Gate: a key participates only when this function both acquires AND
-      // releases it -- acquire-only (or release-only) functions are halves
-      // of a deliberate cross-coroutine handoff and must stay silent.
-      std::vector<bool> active(key_info.size());
-      bool any = false;
-      for (std::size_t k = 0; k < key_info.size(); ++k) {
-        active[k] = key_info[k].acquires > 0 && key_info[k].releases > 0;
-        any = any || active[k];
-      }
-      if (!any) continue;
-
-      // Facts are individual acquire events of active keys.
-      struct Site {
-        std::size_t key;
-        std::uint32_t line;
-        int callee_def;
-        std::uint32_t callee_line;
-      };
-      std::vector<Site> sites;
-      std::vector<std::vector<std::size_t>> fact_of(evs.size());
-      for (std::size_t b = 0; b < evs.size(); ++b) {
-        fact_of[b].assign(evs[b].size(), SIZE_MAX);
-        for (std::size_t j = 0; j < evs[b].size(); ++j) {
-          const ResourceEventEx& e = evs[b][j];
-          const std::size_t k = keys.at({e.row, e.recv});
-          if (e.acquire && active[k]) {
-            fact_of[b][j] = sites.size();
-            sites.push_back({k, e.line, e.callee_def, e.callee_line});
-          }
-        }
-      }
-      if (sites.empty()) continue;
-
-      ForwardMay df(cfg, sites.size());
-      std::vector<int> state(sites.size());  // 0 untouched, 1 live, -1 dead
-      for (std::size_t b = 0; b < evs.size(); ++b) {
-        if (evs[b].empty()) continue;
-        std::fill(state.begin(), state.end(), 0);
-        for (std::size_t j = 0; j < evs[b].size(); ++j) {
-          const ResourceEventEx& e = evs[b][j];
-          const std::size_t k = keys.at({e.row, e.recv});
-          if (!active[k]) continue;
-          if (e.acquire) {
-            state[fact_of[b][j]] = 1;
-          } else {
-            for (std::size_t s = 0; s < sites.size(); ++s) {
-              if (sites[s].key == k) state[s] = -1;
-            }
-          }
-        }
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-          if (state[s] == 1) df.add_gen(static_cast<int>(b), s);
-          if (state[s] == -1) df.add_kill(static_cast<int>(b), s);
-        }
-      }
-      df.solve();
-
-      for (std::size_t s = 0; s < sites.size(); ++s) {
-        if (!df.in(cfg.exit, s)) continue;
-        const KeyInfo& ki = key_info[sites[s].key];
-        const ResourcePairEntry& pe = policy[ki.policy_row];
-        const std::string recv = ki.recv;
-        const std::string acq_call =
-            "'" + recv + "." + std::string(pe.acquire) + "()'";
-        std::string how = acq_call;
-        if (sites[s].callee_def >= 0) {
-          how = acq_call + " (acquired inside '" +
-                callee_name(*ctx.prog, sites[s].callee_def) + "')";
-        }
-        Finding fd{ctx.file.rel(), sites[s].line, std::string(name()),
-                   how + " can reach function exit without '" + recv + "." +
-                       std::string(pe.release) +
-                       "()' on some path (early return/continue?); release "
-                       "on every path or split the handoff into its own "
-                       "function",
-                   {}};
-        const auto path = df.live_path(cfg.exit, s);
-        if (sites[s].callee_def >= 0) {
-          fd.path.push_back({sites[s].line,
-                             "call into '" +
-                                 callee_name(*ctx.prog, sites[s].callee_def) +
-                                 "' acquires " + acq_call});
-          fd.path.push_back({sites[s].callee_line,
-                             "acquired here inside '" +
-                                 callee_name(*ctx.prog, sites[s].callee_def) +
-                                 "'",
-                             callee_file(*ctx.prog, sites[s].callee_def)});
-        } else {
-          fd.path.push_back({sites[s].line, acq_call + " acquired here"});
-        }
-        append_interior(cfg, path,
-                        "path continues without '" + recv + "." +
-                            std::string(pe.release) + "()'",
-                        &fd.path);
-        const std::uint32_t exit_ln = cfg.block(cfg.exit).line;
-        fd.path.push_back({exit_ln == 0 ? sites[s].line : exit_ln,
-                           "function exit with the resource still held"});
-        out->push_back(std::move(fd));
-      }
-    }
-  }
-};
 
 // ---------------------------------------------------------------------------
 // use-after-move
@@ -419,386 +212,10 @@ class UseAfterMove final : public Rule {
   }
 };
 
-// ---------------------------------------------------------------------------
-// unchecked-status-path
-
-class UncheckedStatusPath final : public Rule {
- public:
-  std::string_view name() const override { return "unchecked-status-path"; }
-  std::string_view description() const override {
-    return "PutStatus filled through an out-param but dropped on some path "
-           "to function exit";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    // Same scope as unchecked-put, whose gap this closes: tests assert on
-    // statuses anyway, and bench harnesses own their error budget.
-    const std::string_view rel = ctx.file.rel();
-    if (!path_starts_with(rel, "src/") && !path_starts_with(rel, "examples/")) {
-      return;
-    }
-    const auto& toks = ctx.file.tokens();
-    for (std::size_t fi = 0; fi < ctx.scopes.funcs.size(); ++fi) {
-      const FuncScope& f = ctx.scopes.funcs[fi];
-      if (f.body_end <= f.body_begin) continue;
-      const auto nested = child_ranges(ctx.scopes, static_cast<int>(fi));
-
-      std::map<std::string_view, std::size_t> vars;
-      for (std::size_t i = f.body_begin + 1;
-           i + 2 < toks.size() && i < f.body_end; ++i) {
-        if (in_ranges(nested, i)) continue;
-        if (!toks[i].ident("PutStatus")) continue;
-        if (toks[i + 1].kind != Tok::kIdent) continue;
-        if (!toks[i + 2].is(";") && !toks[i + 2].is("=") &&
-            !toks[i + 2].is("{")) {
-          continue;
-        }
-        vars.try_emplace(toks[i + 1].text, vars.size());
-      }
-      if (vars.empty()) continue;
-      const Cfg& cfg = ctx.cfgs.get(static_cast<int>(fi));
-
-      // Facts are fill sites: each `&st` hands the variable to a callee as
-      // an out-param. Any plain use afterwards (comparison, pass-by-value,
-      // assignment) counts as the check that consumes the pending value.
-      // With the program layer on, a resolved callee's summary refines
-      // both directions: passing the status (by `&st` or by reference) to
-      // a helper that *writes* it is a fill, and to one that *checks* it
-      // is the check -- even though no `&` appears at this call site.
-      const int def_id =
-          ctx.prog != nullptr
-              ? ctx.prog->graph.def_of(ctx.file_index, static_cast<int>(fi))
-              : -1;
-      // Classification of one occurrence via the enclosing call argument:
-      // 0 = no summary verdict (fall through to the local rules).
-      enum { kLocal = 0, kFill = 1, kCheck = 2, kInert = 3 };
-      struct Verdict {
-        int cls = kLocal;
-        int callee = -1;
-        std::uint32_t callee_line = 0;
-      };
-      const auto summarize_arg = [&](std::size_t i,
-                                     std::string_view vn) -> Verdict {
-        if (ctx.prog == nullptr) return {};
-        for (const CallSite& site : ctx.prog->graph.sites(ctx.file_index)) {
-          if (site.caller != def_id) continue;
-          for (std::size_t a = 0; a < site.args.size(); ++a) {
-            const auto& [ab, ae] = site.args[a];
-            if (i < ab || i >= ae) continue;
-            if (root_ident(toks, {ab, ae}) != vn || site.callee < 0) {
-              return {};
-            }
-            const auto c = static_cast<std::size_t>(site.callee);
-            const FuncSummary& cs = ctx.prog->summaries[c];
-            if (!ctx.prog->graph.defs()[c].params_reliable ||
-                a >= cs.params.size() || !cs.params[a].is_status_out) {
-              return {};
-            }
-            const ParamEffect& pe = cs.params[a];
-            if (pe.status_checked) return {kCheck, site.callee, 0};
-            if (pe.status_written) {
-              return {kFill, site.callee, pe.write_line};
-            }
-            return {kInert, -1, 0};
-          }
-        }
-        return {};
-      };
-      struct Ev {
-        bool fill;
-        std::size_t var;
-        std::size_t tok;
-      };
-      std::vector<std::vector<Ev>> evs(cfg.blocks.size());
-      struct Site {
-        std::size_t var;
-        std::uint32_t line;
-        int callee_def = -1;
-        std::uint32_t callee_line = 0;
-      };
-      std::vector<Site> sites;
-      std::map<std::size_t, std::size_t> fact_of_tok;
-      for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-        const CfgBlock& blk = cfg.blocks[b];
-        const std::size_t hi = std::min(blk.end, toks.size());
-        for (std::size_t i = blk.begin; i < hi; ++i) {
-          if (in_ranges(nested, i) || toks[i].kind != Tok::kIdent) continue;
-          const auto vit = vars.find(toks[i].text);
-          if (vit == vars.end()) continue;
-          const std::size_t v = vit->second;
-          if (i > 0 && toks[i - 1].ident("PutStatus")) {
-            evs[b].push_back({false, v, i});  // declaration resets
-            continue;
-          }
-          const Verdict verdict = summarize_arg(i, toks[i].text);
-          if (verdict.cls == kFill) {
-            fact_of_tok[i] = sites.size();
-            sites.push_back(
-                {v, toks[i].line, verdict.callee, verdict.callee_line});
-            evs[b].push_back({true, v, i});
-            continue;
-          }
-          if (verdict.cls == kCheck) {
-            evs[b].push_back({false, v, i});
-            continue;
-          }
-          if (verdict.cls == kInert) continue;  // callee ignores it
-          if (i > 0 && toks[i - 1].is("&")) {
-            fact_of_tok[i] = sites.size();
-            sites.push_back({v, toks[i].line});
-            evs[b].push_back({true, v, i});
-            continue;
-          }
-          if (!plain_use(toks, i)) continue;
-          evs[b].push_back({false, v, i});  // checked / consumed
-        }
-      }
-      if (sites.empty()) continue;
-
-      ForwardMay df(cfg, sites.size());
-      std::vector<int> state(sites.size());
-      for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-        if (evs[b].empty()) continue;
-        std::fill(state.begin(), state.end(), 0);
-        for (const Ev& e : evs[b]) {
-          if (e.fill) {
-            // A refill overwrites: earlier pending fills of the same var
-            // die, this site goes live.
-            for (std::size_t s = 0; s < sites.size(); ++s) {
-              if (sites[s].var == e.var) state[s] = -1;
-            }
-            state[fact_of_tok[e.tok]] = 1;
-          } else {
-            for (std::size_t s = 0; s < sites.size(); ++s) {
-              if (sites[s].var == e.var) state[s] = -1;
-            }
-          }
-        }
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-          if (state[s] == 1) df.add_gen(static_cast<int>(b), s);
-          if (state[s] == -1) df.add_kill(static_cast<int>(b), s);
-        }
-      }
-      df.solve();
-
-      std::vector<std::string_view> names(vars.size());
-      for (const auto& [n, v] : vars) names[v] = n;
-      for (std::size_t s = 0; s < sites.size(); ++s) {
-        if (!df.in(cfg.exit, s)) continue;
-        const std::string vn(names[sites[s].var]);
-        const bool via_callee = sites[s].callee_def >= 0;
-        const std::string via =
-            via_callee ? "by '" + callee_name(*ctx.prog, sites[s].callee_def) +
-                             "' (which writes its status out-param)"
-                       : "through '&" + vn + "'";
-        Finding fd{ctx.file.rel(), sites[s].line, std::string(name()),
-                   "PutStatus '" + vn + "' filled " + via +
-                       " here is never checked on some path to function "
-                       "exit; a failed durable write would go unnoticed "
-                       "(docs/DURABILITY.md)",
-                   {}};
-        const auto path = df.live_path(cfg.exit, s);
-        if (via_callee) {
-          const std::string helper =
-              callee_name(*ctx.prog, sites[s].callee_def);
-          fd.path.push_back(
-              {sites[s].line, "'" + vn + "' filled by this call to '" +
-                                  helper + "'"});
-          if (sites[s].callee_line != 0) {
-            fd.path.push_back({sites[s].callee_line,
-                               "written here inside '" + helper + "'",
-                               callee_file(*ctx.prog, sites[s].callee_def)});
-          }
-        } else {
-          fd.path.push_back(
-              {sites[s].line, "'&" + vn + "' filled by this call"});
-        }
-        append_interior(cfg, path, "'" + vn + "' still unchecked", &fd.path);
-        const std::uint32_t exit_ln = cfg.block(cfg.exit).line;
-        fd.path.push_back({exit_ln == 0 ? sites[s].line : exit_ln,
-                           "function exit with '" + vn + "' unchecked"});
-        out->push_back(std::move(fd));
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// summary-leak
-
-class SummaryLeak final : public Rule {
- public:
-  std::string_view name() const override { return "summary-leak"; }
-  std::string_view description() const override {
-    return "coroutine acquires a resource through a callee, then can "
-           "suspend at a point from which it never returns with the "
-           "resource still held";
-  }
-
-  void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    // Interprocedural by definition: without summaries there are no
-    // callee-acquired resources to track, so the rule is silent (the
-    // direct-acquire variant is resource-pairing's business).
-    if (ctx.prog == nullptr) return;
-    for (std::size_t fi = 0; fi < ctx.scopes.funcs.size(); ++fi) {
-      const FuncScope& f = ctx.scopes.funcs[fi];
-      if (!f.is_coroutine || f.body_end <= f.body_begin ||
-          f.suspends.empty()) {
-        continue;
-      }
-      const Cfg& cfg = ctx.cfgs.get(static_cast<int>(fi));
-      const auto evs = resource_events(ctx.prog, ctx.file_index, ctx.file,
-                                       ctx.scopes, cfg, static_cast<int>(fi));
-
-      // Same pairing gate as resource-pairing: the coroutine must both
-      // acquire and release the key somewhere, otherwise it is one half
-      // of a deliberate cross-coroutine handoff.
-      std::map<std::pair<std::size_t, std::string>, std::size_t> keys;
-      struct KeyInfo {
-        std::size_t policy_row;
-        std::string recv;
-        int acquires = 0;
-        int releases = 0;
-      };
-      std::vector<KeyInfo> key_info;
-      for (const auto& block_evs : evs) {
-        for (const ResourceEventEx& e : block_evs) {
-          const auto [it, fresh] =
-              keys.try_emplace({e.row, e.recv}, key_info.size());
-          if (fresh) key_info.push_back({e.row, e.recv});
-          KeyInfo& ki = key_info[it->second];
-          (e.acquire ? ki.acquires : ki.releases)++;
-        }
-      }
-      std::vector<bool> active(key_info.size());
-      bool any = false;
-      for (std::size_t k = 0; k < key_info.size(); ++k) {
-        active[k] = key_info[k].acquires > 0 && key_info[k].releases > 0;
-        any = any || active[k];
-      }
-      if (!any) continue;
-
-      // Facts: acquires substituted from a callee summary (callee_def set).
-      struct Site {
-        std::size_t key;
-        std::uint32_t line;
-        int callee_def;
-        std::uint32_t callee_line;
-      };
-      std::vector<Site> sites;
-      std::vector<std::vector<std::size_t>> fact_of(evs.size());
-      for (std::size_t b = 0; b < evs.size(); ++b) {
-        fact_of[b].assign(evs[b].size(), SIZE_MAX);
-        for (std::size_t j = 0; j < evs[b].size(); ++j) {
-          const ResourceEventEx& e = evs[b][j];
-          const std::size_t k = keys.at({e.row, e.recv});
-          if (e.acquire && e.callee_def >= 0 && active[k]) {
-            fact_of[b][j] = sites.size();
-            sites.push_back({k, e.line, e.callee_def, e.callee_line});
-          }
-        }
-      }
-      if (sites.empty()) continue;
-
-      ForwardMay df(cfg, sites.size());
-      std::vector<int> state(sites.size());
-      for (std::size_t b = 0; b < evs.size(); ++b) {
-        if (evs[b].empty()) continue;
-        std::fill(state.begin(), state.end(), 0);
-        for (std::size_t j = 0; j < evs[b].size(); ++j) {
-          const ResourceEventEx& e = evs[b][j];
-          const std::size_t k = keys.at({e.row, e.recv});
-          if (!active[k]) continue;
-          if (e.acquire) {
-            if (fact_of[b][j] != SIZE_MAX) state[fact_of[b][j]] = 1;
-          } else {
-            for (std::size_t s = 0; s < sites.size(); ++s) {
-              if (sites[s].key == k) state[s] = -1;
-            }
-          }
-        }
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-          if (state[s] == 1) df.add_gen(static_cast<int>(b), s);
-          if (state[s] == -1) df.add_kill(static_cast<int>(b), s);
-        }
-      }
-      df.solve();
-
-      // Report an acquire still live *after* a suspension in a block from
-      // which function exit is unreachable: the coroutine parks forever
-      // and the paired release below the loop is dead code.
-      const std::vector<bool> reach = blocks_reaching_exit(cfg);
-      std::vector<bool> done(sites.size(), false);
-      for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-        if (!cfg.blocks[b].suspends || reach[b]) continue;
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-          if (done[s] || !df.out(static_cast<int>(b), s)) continue;
-          done[s] = true;
-          const KeyInfo& ki = key_info[sites[s].key];
-          const ResourcePairEntry& pe =
-              resource_pair_policy()[ki.policy_row];
-          const std::string recv = ki.recv;
-          const std::string helper =
-              callee_name(*ctx.prog, sites[s].callee_def);
-          const std::uint32_t susp_ln = cfg.blocks[b].line;
-          Finding fd{
-              ctx.file.rel(), sites[s].line, std::string(name()),
-              "'" + recv + "." + std::string(pe.acquire) +
-                  "()' acquired via '" + helper +
-                  "' is still held at a suspension point this coroutine "
-                  "can never return from; release before parking or "
-                  "restructure the handoff",
-              {}};
-          fd.path.push_back({sites[s].line, "call into '" + helper +
-                                                "' acquires '" + recv + "." +
-                                                std::string(pe.acquire) +
-                                                "()'"});
-          fd.path.push_back({sites[s].callee_line,
-                             "acquired here inside '" + helper + "'",
-                             callee_file(*ctx.prog, sites[s].callee_def)});
-          const auto path = df.live_path(static_cast<int>(b), s);
-          append_interior(cfg, path,
-                          "path continues without '" + recv + "." +
-                              std::string(pe.release) + "()'",
-                          &fd.path);
-          fd.path.push_back(
-              {susp_ln == 0 ? sites[s].line : susp_ln,
-               "suspends here with no path back to function exit"});
-          out->push_back(std::move(fd));
-        }
-      }
-    }
-  }
-};
-
 }  // namespace
 
-const std::vector<ResourcePairEntry>& resource_pair_policy() {
-  // The repo's known acquire/release verb pairs (docs/STATIC_ANALYSIS.md):
-  //   * sim::Semaphore / RateServer / credit objects: acquire -> release
-  //     (issue_credits_, alloc_mutex_, exec_slots_, window, RateServer)
-  //   * rings: alloc -> free_oldest (read_ring->alloc pairs with
-  //     read_ring->free_oldest on the retirement path)
-  //   * the reorder buffer: rob_.alloc -> rob_.retire
-  static const std::vector<ResourcePairEntry> kPolicy = {
-      {"*", "acquire", "release"},
-      {"*ring*", "alloc", "free_oldest"},
-      {"rob_", "alloc", "retire"},
-  };
-  return kPolicy;
-}
-
-std::unique_ptr<Rule> make_resource_pairing() {
-  return std::make_unique<ResourcePairing>();
-}
 std::unique_ptr<Rule> make_use_after_move() {
   return std::make_unique<UseAfterMove>();
-}
-std::unique_ptr<Rule> make_unchecked_status_path() {
-  return std::make_unique<UncheckedStatusPath>();
-}
-std::unique_ptr<Rule> make_summary_leak() {
-  return std::make_unique<SummaryLeak>();
 }
 
 }  // namespace lint

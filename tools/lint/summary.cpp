@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
-#include <sstream>
+#include <set>
 #include <string>
 
-#include <set>
-
-#include "lint/dataflow.hpp"
 #include "lint/rules.hpp"
 #include "lint/typestate.hpp"
 
@@ -16,140 +13,78 @@ namespace lint {
 
 namespace {
 
-std::vector<std::pair<std::size_t, std::size_t>> child_ranges(
-    const ScopeInfo& scopes, int idx) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (const FuncScope& g : scopes.funcs) {
-    if (g.parent == idx) out.emplace_back(g.body_begin, g.body_end);
-  }
-  return out;
-}
-
-bool in_ranges(const std::vector<std::pair<std::size_t, std::size_t>>& rs,
-               std::size_t i) {
-  for (const auto& [b, e] : rs) {
-    if (i >= b && i <= e) return true;
-  }
-  return false;
-}
-
-bool plain_use(const std::vector<Token>& toks, std::size_t i) {
-  if (i > 0 && (toks[i - 1].is(".") || toks[i - 1].is("->") ||
-                toks[i - 1].is("::"))) {
-    return false;
-  }
-  if (i + 1 < toks.size() && toks[i + 1].is("::")) return false;
-  return true;
-}
-
-/// Direct `recv.verb()` events of one function, attributed to CFG blocks.
-/// With `bypass_params` set (summary extraction), a receiver that names a
-/// parameter matches every policy row with that verb -- the glob is applied
-/// later, caller-side, against the substituted argument. Without it (rule
-/// checks, `--no-summaries` parity), receivers must match the row glob and
-/// only the first matching row fires, exactly like the flow rules always
-/// did.
-void direct_events(const std::vector<Token>& toks, const ScopeInfo& scopes,
-                   int func_idx, const Cfg& cfg,
-                   const std::vector<Param>* bypass_params,
-                   std::vector<std::vector<ResourceEventEx>>* evs) {
-  const auto& policy = resource_pair_policy();
-  const auto nested = child_ranges(scopes, func_idx);
-  const auto param_named = [&](std::string_view n) {
-    if (!bypass_params) return false;
-    for (const Param& p : *bypass_params) {
-      if (p.name == n) return true;
-    }
-    return false;
-  };
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    const CfgBlock& blk = cfg.blocks[b];
-    const std::size_t hi = std::min(blk.end, toks.size());
-    for (std::size_t i = blk.begin; i + 3 < toks.size() && i < hi; ++i) {
-      if (in_ranges(nested, i)) continue;
-      if (toks[i].kind != Tok::kIdent) continue;
-      if (!toks[i + 1].is(".") && !toks[i + 1].is("->")) continue;
-      if (toks[i + 2].kind != Tok::kIdent || !toks[i + 3].is("(")) continue;
-      const std::string_view recv = toks[i].text;
-      const std::string_view verb = toks[i + 2].text;
-      const bool is_param = param_named(recv);
-      for (std::size_t pi = 0; pi < policy.size(); ++pi) {
-        const ResourcePairEntry& e = policy[pi];
-        const bool acq = verb == e.acquire;
-        const bool rel = verb == e.release;
-        if (!acq && !rel) continue;
-        if (!is_param && !glob_match(e.receiver_glob, recv)) continue;
-        (*evs)[b].push_back(
-            {pi, std::string(recv), acq, toks[i].line, i, -1, 0});
-        if (!is_param) break;  // first matching row, as the flow rules do
-      }
-    }
-  }
-}
-
-/// Effects of resolved callees substituted at `def_id`'s call sites. A
-/// balanced callee (releases_all) contributes nothing; an acquiring one
-/// contributes an acquire at the call line; a releasing one a release.
-/// Parameter-keyed effects substitute the caller's argument and must then
-/// pass the policy-row glob; anything unresolvable is skipped.
-void substituted_events(const std::vector<FuncSummary>& sums,
-                        const std::vector<Token>& toks,
-                        const std::vector<CallSite>& fsites, int def_id,
-                        const Cfg& cfg,
-                        std::vector<std::vector<ResourceEventEx>>* evs) {
-  const auto& policy = resource_pair_policy();
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    const CfgBlock& blk = cfg.blocks[b];
-    if (blk.end <= blk.begin) continue;
-    for (const CallSite& site : fsites) {
-      if (site.caller != def_id || site.callee < 0) continue;
-      if (site.name_tok < blk.begin || site.name_tok >= blk.end) continue;
-      const FuncSummary& cs = sums[static_cast<std::size_t>(site.callee)];
-      for (const ResourceEffect& e : cs.resources) {
-        std::string recv;
-        std::uint32_t callee_line = 0;
-        if (e.recv_param >= 0) {
-          if (static_cast<std::size_t>(e.recv_param) >= site.args.size()) {
-            continue;
-          }
-          const std::string_view r =
-              root_ident(toks, site.args[static_cast<std::size_t>(
-                                   e.recv_param)]);
-          if (r.empty()) continue;
-          if (!glob_match(policy[e.row].receiver_glob, r)) continue;
-          recv = std::string(r);
-        } else {
-          recv = e.recv;
-        }
-        if (e.may_release) {
-          callee_line = e.release_line;
-          (*evs)[b].push_back({e.row, recv, false, site.line, site.name_tok,
-                               site.callee, callee_line});
-        }
-        if (e.may_acquire && !e.releases_all) {
-          (*evs)[b].push_back({e.row, recv, true, site.line, site.name_tok,
-                               site.callee, e.acquire_line});
-        }
-      }
-    }
-  }
-}
-
 // --- typestate events ------------------------------------------------------
 
-/// Collects identifiers declared in [lo, hi) with one of the protocol's
-/// type names: `TypeName [<...>] [&|&&|*]* name` followed by a declarator
-/// terminator. Handles both parameter lists (`sim::Mailbox<int>& mb,`) and
-/// body-local declarations (`KvStore store(dev);`).
-void collect_typed_objects(const std::vector<Token>& toks, std::size_t lo,
-                           std::size_t hi, const TsProtocol& p,
-                           std::set<std::string_view>* out) {
+constexpr std::uint32_t bit(std::size_t p) { return std::uint32_t{1} << p; }
+
+/// Lookup tables over every protocol, built once: which (protocol, event)
+/// pairs a method verb names, which protocols track a declared type, and
+/// each protocol's event id per plain-use form (-1 when not listed).
+struct EventIndex {
+  std::map<std::string_view, std::vector<std::pair<std::size_t, int>>,
+           std::less<>>
+      verbs;
+  std::map<std::string_view, std::uint32_t, std::less<>> types;
+  std::vector<std::array<int, kTsFormEvents.size()>> forms;
+  std::uint32_t form_tables = 0;  ///< protocols listing any form event
+};
+
+const EventIndex& event_index() {
+  static const EventIndex kIndex = [] {
+    EventIndex idx;
+    const auto& ps = typestate_protocols();
+    for (std::size_t p = 0; p < ps.size(); ++p) {
+      auto& forms = idx.forms.emplace_back();
+      forms.fill(-1);
+      for (std::size_t e = 0; e < ps[p].events.size(); ++e) {
+        const std::string_view name = ps[p].events[e];
+        idx.verbs[name].emplace_back(p, static_cast<int>(e));
+        for (std::size_t k = 0; k < kTsFormEvents.size(); ++k) {
+          if (name != kTsFormEvents[k]) continue;
+          forms[k] = static_cast<int>(e);
+          idx.form_tables |= bit(p);
+        }
+      }
+      for (const std::string_view t : ps[p].type_names) idx.types[t] |= bit(p);
+    }
+    return idx;
+  }();
+  return kIndex;
+}
+
+enum Form { kDeclare, kFill, kWrite, kCheck };
+
+/// A direct event; for a plain-use form inside an argument of a resolved
+/// call, also that argument -- a callee effect on it replaces the event.
+struct DirectEvent {
+  TsEventRef ev;
+  const CallSite* site = nullptr;
+  int arg = -1;
+};
+
+/// One function's direct events (computed once) plus what is needed to
+/// splice callee effects in later rounds.
+struct FuncEvents {
+  std::vector<std::vector<DirectEvent>> blocks;
+  std::vector<const CallSite*> calls;  ///< resolved call sites
+  std::vector<std::size_t> call_block;  ///< parallel to `calls`
+  std::set<std::string_view> locals;    ///< typed objects declared in the body
+};
+
+/// Collects identifiers declared in [lo, hi) with a tracked type name:
+/// `TypeName [<...>] [&|&&|*]* name` followed by a declarator terminator.
+/// Handles both parameter lists (`sim::Mailbox<int>& mb,`) and body-local
+/// declarations (`KvStore store(dev);`), whose name tokens land in `decls`.
+void collect_typed(const std::vector<Token>& toks, std::size_t lo,
+                   std::size_t hi, std::uint32_t sel,
+                   std::map<std::string_view, std::uint32_t>* typed,
+                   std::set<std::size_t>* decls) {
+  const auto& types = event_index().types;
   hi = std::min(hi, toks.size());
   for (std::size_t i = lo; i < hi; ++i) {
     if (toks[i].kind != Tok::kIdent) continue;
-    bool is_type = false;
-    for (const std::string_view t : p.type_names) is_type |= toks[i].text == t;
-    if (!is_type) continue;
+    const auto t = types.find(toks[i].text);
+    if (t == types.end() || (t->second & sel) == 0) continue;
     std::size_t j = i + 1;
     if (j < hi && toks[j].is("<")) {
       int depth = 1;
@@ -169,99 +104,195 @@ void collect_typed_objects(const std::vector<Token>& toks, std::size_t lo,
     if (j + 1 < toks.size() &&
         (toks[j + 1].is(";") || toks[j + 1].is("=") || toks[j + 1].is("{") ||
          toks[j + 1].is("(") || toks[j + 1].is(",") || toks[j + 1].is(")"))) {
-      out->insert(toks[j].text);
+      (*typed)[toks[j].text] |= t->second & sel;
+      if (decls != nullptr) decls->insert(j);
     }
   }
 }
 
-/// Direct `recv.verb()` typestate events of one function for one protocol,
-/// attributed to CFG blocks. A receiver is tracked when its declared type
-/// matches (parameter list or body-local declaration) or a receiver glob
-/// matches.
-void direct_ts_events(const std::vector<Token>& toks, const ScopeInfo& scopes,
-                      int func_idx, const Cfg& cfg, std::size_t p_idx,
-                      std::vector<std::vector<TsEventRef>>* evs) {
-  const TsProtocol& p = typestate_protocols()[p_idx];
+/// The direct events of one function for the protocols in `sel`, in one
+/// token pass. `sites` (null without summaries) supplies the resolved calls
+/// whose effects later replace plain-use forms and splice in.
+FuncEvents direct_ts_events(const std::vector<Token>& toks,
+                            const ScopeInfo& scopes, int func_idx,
+                            const Cfg& cfg, std::uint32_t sel,
+                            const std::vector<CallSite>* sites, int def_id) {
+  const EventIndex& idx = event_index();
+  const auto& protos = typestate_protocols();
   const FuncScope& f = scopes.funcs[static_cast<std::size_t>(func_idx)];
-  const auto nested = child_ranges(scopes, func_idx);
-  std::set<std::string_view> typed;
-  if (f.param_open != SIZE_MAX && f.param_close != SIZE_MAX) {
-    collect_typed_objects(toks, f.param_open + 1, f.param_close + 1, p,
-                          &typed);
-  }
-  collect_typed_objects(toks, f.body_begin + 1, f.body_end, p, &typed);
-  const auto tracked = [&](std::string_view recv) {
-    if (typed.count(recv) != 0) return true;
-    for (const std::string_view g : p.recv_globs) {
-      if (glob_match(g, recv)) return true;
+  FuncEvents fe;
+  fe.blocks.resize(cfg.blocks.size());
+  for (std::size_t k = 0; sites != nullptr && k < sites->size(); ++k) {
+    const CallSite& s = (*sites)[k];
+    if (s.caller != def_id || s.callee < 0) continue;
+    for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+      const CfgBlock& blk = cfg.blocks[b];
+      if (s.name_tok >= blk.begin && s.name_tok < blk.end) {
+        fe.calls.push_back(&s);
+        fe.call_block.push_back(b);
+        break;
+      }
     }
-    return false;
+  }
+
+  std::map<std::string_view, std::uint32_t> typed;
+  std::set<std::size_t> decls;
+  if (f.param_open != SIZE_MAX && f.param_close != SIZE_MAX) {
+    collect_typed(toks, f.param_open + 1, f.param_close + 1, sel, &typed,
+                  nullptr);
+  }
+  collect_typed(toks, f.body_begin + 1, f.body_end, sel, &typed, &decls);
+  for (const std::size_t d : decls) fe.locals.insert(toks[d].text);
+
+  std::map<std::string_view, std::uint32_t> tracked_memo;
+  const auto tracked = [&](std::string_view recv) {
+    const auto [it, fresh] = tracked_memo.try_emplace(recv, 0);
+    if (fresh) {
+      const auto t = typed.find(recv);
+      std::uint32_t m = t == typed.end() ? 0 : t->second;
+      for (std::size_t p = 0; p < protos.size(); ++p) {
+        if ((sel & bit(p)) == 0 || (m & bit(p)) != 0) continue;
+        for (const std::string_view g : protos[p].recv_globs) {
+          if (glob_match(g, recv)) m |= bit(p);
+        }
+      }
+      it->second = m & sel;
+    }
+    return it->second;
   };
+  // Plain-use forms only matter for objects some form table tracks. When
+  // those tables track by type alone, a function without such a typed
+  // object skips the per-identifier lookups below entirely.
+  std::uint32_t form_sel = idx.form_tables & sel;
+  bool form_globs = false;
+  for (std::size_t p = 0; p < protos.size(); ++p) {
+    if ((form_sel & bit(p)) != 0) form_globs |= !protos[p].recv_globs.empty();
+  }
+  if (!form_globs) {
+    std::uint32_t typed_forms = 0;
+    for (const auto& [name, m] : typed) typed_forms |= m;
+    form_sel &= typed_forms;
+  }
+  const auto enclosing_arg = [&](std::size_t i, std::string_view recv)
+      -> std::pair<const CallSite*, int> {
+    for (const CallSite* s : fe.calls) {
+      for (std::size_t a = 0; a < s->args.size(); ++a) {
+        const auto& [ab, ae] = s->args[a];
+        if (i >= ab && i < ae && root_ident(toks, {ab, ae}) == recv) {
+          return {s, static_cast<int>(a)};
+        }
+      }
+    }
+    return {nullptr, -1};
+  };
+
+  const auto nested = child_ranges(scopes, func_idx);
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
     const CfgBlock& blk = cfg.blocks[b];
     const std::size_t hi = std::min(blk.end, toks.size());
-    for (std::size_t i = blk.begin; i + 3 < toks.size() && i < hi; ++i) {
-      if (in_ranges(nested, i)) continue;
-      if (toks[i].kind != Tok::kIdent) continue;
-      if (!toks[i + 1].is(".") && !toks[i + 1].is("->")) continue;
-      if (toks[i + 2].kind != Tok::kIdent || !toks[i + 3].is("(")) continue;
-      int ev = -1;
-      for (std::size_t e = 0; e < p.events.size(); ++e) {
-        if (toks[i + 2].text == p.events[e]) ev = static_cast<int>(e);
-      }
-      if (ev < 0 || !tracked(toks[i].text)) continue;
-      (*evs)[b].push_back(
-          {p_idx, ev, std::string(toks[i].text), toks[i].line, i, -1, 0});
-    }
-  }
-}
-
-/// Protocol effects of resolved callees spliced in at call sites. The
-/// receiver substitutes like resource effects do (parameter-keyed effects
-/// take the caller's argument root identifier); tracking is trusted -- the
-/// callee established the object's type, so the caller needs no glob match.
-void substituted_ts_events(const std::vector<FuncSummary>& sums,
-                           const std::vector<Token>& toks,
-                           const std::vector<CallSite>& fsites, int def_id,
-                           const Cfg& cfg, std::size_t p_idx,
-                           std::vector<std::vector<TsEventRef>>* evs) {
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    const CfgBlock& blk = cfg.blocks[b];
-    if (blk.end <= blk.begin) continue;
-    for (const CallSite& site : fsites) {
-      if (site.caller != def_id || site.callee < 0) continue;
-      if (site.name_tok < blk.begin || site.name_tok >= blk.end) continue;
-      const FuncSummary& cs = sums[static_cast<std::size_t>(site.callee)];
-      for (const ProtocolEffect& e : cs.protocols) {
-        if (e.protocol != p_idx) continue;
-        std::string recv;
-        if (e.recv_param >= 0) {
-          if (static_cast<std::size_t>(e.recv_param) >= site.args.size()) {
-            continue;
+    for (std::size_t i = blk.begin; i < hi; ++i) {
+      if (toks[i].kind != Tok::kIdent || in_ranges(nested, i)) continue;
+      const std::string_view recv = toks[i].text;
+      std::uint32_t done = 0;
+      if (i + 3 < toks.size() &&
+          (toks[i + 1].is(".") || toks[i + 1].is("->")) &&
+          toks[i + 2].kind == Tok::kIdent && toks[i + 3].is("(")) {
+        const auto v = idx.verbs.find(toks[i + 2].text);
+        if (v != idx.verbs.end()) {
+          const std::uint32_t m = tracked(recv);
+          for (const auto& [p, e] : v->second) {
+            if ((m & bit(p)) == 0) continue;
+            fe.blocks[b].push_back(
+                {{p, e, std::string(recv), toks[i].line, i, -1, 0}});
+            done |= bit(p);
           }
-          const std::string_view r = root_ident(
-              toks, site.args[static_cast<std::size_t>(e.recv_param)]);
-          if (r.empty()) continue;
-          recv = std::string(r);
-        } else {
-          recv = e.recv;
         }
-        for (std::size_t k = 0; k < e.events.size(); ++k) {
-          (*evs)[b].push_back({p_idx, e.events[k], recv, site.line,
-                               site.name_tok, site.callee, e.lines[k]});
-        }
+      }
+      if ((form_sel & ~done) == 0) continue;
+      const std::uint32_t m = tracked(recv) & form_sel & ~done;
+      if (m == 0) continue;
+      Form form = kCheck;
+      if (decls.count(i) != 0) {
+        form = kDeclare;
+      } else if (!plain_use(toks, i)) {
+        continue;
+      } else if (i >= 2 && toks[i - 1].is("&") &&
+                 (toks[i - 2].is("(") || toks[i - 2].is(","))) {
+        form = kFill;
+      } else if (i + 1 < toks.size() && toks[i + 1].is("=")) {
+        form = kWrite;
+      }
+      const auto [site, arg] =
+          form == kDeclare ? std::pair<const CallSite*, int>{nullptr, -1}
+                           : enclosing_arg(i, recv);
+      for (std::size_t p = 0; p < protos.size(); ++p) {
+        const int e = idx.forms[p][form];
+        if ((m & bit(p)) == 0 || e < 0) continue;
+        fe.blocks[b].push_back(
+            {{p, e, std::string(recv), toks[i].line, i, -1, 0}, site, arg});
       }
     }
   }
+  return fe;
 }
 
-void sort_ts_blocks(std::vector<std::vector<TsEventRef>>* evs) {
-  for (auto& v : *evs) {
-    std::stable_sort(v.begin(), v.end(),
-                     [](const TsEventRef& a, const TsEventRef& b) {
-                       return a.tok < b.tok;
+bool has_effect(const FuncSummary& s, std::size_t protocol, int param) {
+  for (const ProtocolEffect& e : s.protocols) {
+    if (e.protocol == protocol && e.recv_param == param) return true;
+  }
+  return false;
+}
+
+/// Direct events plus the protocol effects of resolved callees spliced in
+/// at their call sites, per block in token order. The receiver substitutes
+/// through parameter positions (the caller's argument root identifier);
+/// tracking is trusted -- the callee established the object's type, so the
+/// caller needs no glob match. Without `sums` only direct events remain.
+std::vector<std::vector<TsEventRef>> merge_ts_events(
+    const FuncEvents& fe, const std::vector<FuncSummary>* sums,
+    const std::vector<Token>& toks, std::uint32_t sel) {
+  std::vector<std::vector<TsEventRef>> evs(fe.blocks.size());
+  for (std::size_t b = 0; b < fe.blocks.size(); ++b) {
+    for (const DirectEvent& d : fe.blocks[b]) {
+      if (sums != nullptr && d.site != nullptr &&
+          has_effect((*sums)[static_cast<std::size_t>(d.site->callee)],
+                     d.ev.protocol, d.arg)) {
+        continue;
+      }
+      evs[b].push_back(d.ev);
+    }
+  }
+  if (sums == nullptr) return evs;
+  std::vector<bool> spliced(evs.size(), false);
+  for (std::size_t k = 0; k < fe.calls.size(); ++k) {
+    const CallSite& site = *fe.calls[k];
+    const FuncSummary& cs = (*sums)[static_cast<std::size_t>(site.callee)];
+    for (const ProtocolEffect& e : cs.protocols) {
+      if ((sel & bit(e.protocol)) == 0) continue;
+      std::string recv = e.recv;
+      if (e.recv_param >= 0) {
+        const auto a = static_cast<std::size_t>(e.recv_param);
+        if (a >= site.args.size()) continue;
+        const std::string_view r = root_ident(toks, site.args[a]);
+        if (r.empty()) continue;
+        recv = std::string(r);
+      }
+      auto& block = evs[fe.call_block[k]];
+      for (std::size_t j = 0; j < e.events.size(); ++j) {
+        block.push_back({e.protocol, e.events[j], recv, site.line,
+                         site.name_tok, site.callee, e.lines[j]});
+      }
+      spliced[fe.call_block[k]] = true;
+    }
+  }
+  for (std::size_t b = 0; b < evs.size(); ++b) {
+    if (!spliced[b]) continue;
+    std::stable_sort(evs[b].begin(), evs[b].end(),
+                     [](const TsEventRef& x, const TsEventRef& y) {
+                       return x.tok < y.tok;
                      });
   }
+  return evs;
 }
 
 /// Blocks that lie on *every* entry-to-exit path and inside *no* cycle --
@@ -307,126 +338,42 @@ std::vector<bool> mandatory_acyclic(const Cfg& cfg) {
 
 constexpr std::size_t kMaxProtocolEvents = 8;
 
-/// Folds per-block typestate events into ProtocolEffects: one per receiver
-/// whose events are all in mandatory acyclic blocks (fixed order), capped.
-void effects_from_ts_events(const Cfg& cfg, const std::vector<bool>& mand,
-                            const std::vector<std::vector<TsEventRef>>& evs,
-                            std::size_t p_idx, const FuncScope& f,
-                            bool params_reliable,
-                            std::vector<ProtocolEffect>* out) {
-  std::map<std::string, std::vector<const TsEventRef*>> by_recv;
-  std::set<std::string> opaque;
+/// Folds per-block typestate events into ProtocolEffects, ordered by
+/// (protocol, receiver): one per key whose events all sit in mandatory
+/// acyclic blocks (fixed order), capped, and not a body-local object.
+std::vector<ProtocolEffect> effects_from_ts_events(
+    const std::vector<bool>& mand,
+    const std::vector<std::vector<TsEventRef>>& evs, const FuncScope& f,
+    bool params_reliable, const std::set<std::string_view>& locals) {
+  using Key = std::pair<std::size_t, std::string_view>;
+  std::map<Key, std::vector<const TsEventRef*>> by_key;
+  std::set<Key> opaque;
   for (std::size_t b = 0; b < evs.size(); ++b) {
     for (const TsEventRef& e : evs[b]) {
       if (mand[b]) {
-        by_recv[e.recv].push_back(&e);
+        by_key[{e.protocol, e.recv}].push_back(&e);
       } else {
-        opaque.insert(e.recv);  // a conditional event poisons the whole key
+        opaque.insert({e.protocol, e.recv});  // a conditional event poisons
       }
     }
   }
-  for (auto& [recv, refs] : by_recv) {
-    if (opaque.count(recv) != 0 || refs.size() > kMaxProtocolEvents) continue;
+  std::vector<ProtocolEffect> out;
+  for (auto& [key, refs] : by_key) {
+    if (opaque.count(key) != 0 || locals.count(key.second) != 0 ||
+        refs.size() > kMaxProtocolEvents) {
+      continue;
+    }
     std::stable_sort(refs.begin(), refs.end(),
                      [](const TsEventRef* a, const TsEventRef* b) {
                        return a->tok < b->tok;
                      });
     ProtocolEffect e;
-    e.protocol = p_idx;
-    e.recv = recv;
+    e.protocol = key.first;
+    e.recv = std::string(key.second);
     for (const TsEventRef* r : refs) {
       e.events.push_back(r->event);
       e.lines.push_back(r->line);
     }
-    if (params_reliable) {
-      for (std::size_t pi = 0; pi < f.params.size(); ++pi) {
-        if (f.params[pi].name == recv) {
-          e.recv_param = static_cast<int>(pi);
-          break;
-        }
-      }
-    }
-    out->push_back(std::move(e));
-  }
-}
-
-bool same_protocol_effects(const std::vector<ProtocolEffect>& a,
-                           const std::vector<ProtocolEffect>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].protocol != b[i].protocol ||
-        a[i].recv_param != b[i].recv_param || a[i].recv != b[i].recv ||
-        a[i].events != b[i].events) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void sort_blocks(std::vector<std::vector<ResourceEventEx>>* evs) {
-  for (auto& v : *evs) {
-    std::stable_sort(v.begin(), v.end(),
-                     [](const ResourceEventEx& a, const ResourceEventEx& b) {
-                       return a.tok < b.tok;
-                     });
-  }
-}
-
-/// Folds per-block events into per-(row, receiver) ResourceEffects, with
-/// releases_all proven by the function's own dataflow.
-std::vector<ResourceEffect> effects_from_events(
-    const Cfg& cfg, const std::vector<std::vector<ResourceEventEx>>& evs,
-    const FuncScope& f, bool params_reliable) {
-  std::map<std::pair<std::size_t, std::string>, std::size_t> keys;
-  struct KeyData {
-    bool acq = false;
-    bool rel = false;
-    std::uint32_t aline = 0;
-    std::uint32_t rline = 0;
-  };
-  std::vector<KeyData> kd;
-  for (const auto& block_evs : evs) {
-    for (const ResourceEventEx& e : block_evs) {
-      const auto [it, fresh] =
-          keys.try_emplace({e.row, e.recv}, kd.size());
-      if (fresh) kd.push_back({});
-      KeyData& k = kd[it->second];
-      if (e.acquire) {
-        k.acq = true;
-        if (k.aline == 0) k.aline = e.line;
-      } else {
-        k.rel = true;
-        if (k.rline == 0) k.rline = e.line;
-      }
-    }
-  }
-  if (keys.empty()) return {};
-
-  ForwardMay df(cfg, kd.size());
-  std::vector<int> state(kd.size());
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    if (evs[b].empty()) continue;
-    std::fill(state.begin(), state.end(), 0);
-    for (const ResourceEventEx& e : evs[b]) {
-      state[keys.at({e.row, e.recv})] = e.acquire ? 1 : -1;
-    }
-    for (std::size_t k = 0; k < kd.size(); ++k) {
-      if (state[k] == 1) df.add_gen(static_cast<int>(b), k);
-      if (state[k] == -1) df.add_kill(static_cast<int>(b), k);
-    }
-  }
-  df.solve();
-
-  std::vector<ResourceEffect> out;
-  for (const auto& [key, k] : keys) {
-    ResourceEffect e;
-    e.row = key.first;
-    e.recv = key.second;
-    e.may_acquire = kd[k].acq;
-    e.may_release = kd[k].rel;
-    e.releases_all = kd[k].acq && !df.in(cfg.exit, k);
-    e.acquire_line = kd[k].aline;
-    e.release_line = kd[k].rline;
     if (params_reliable) {
       for (std::size_t pi = 0; pi < f.params.size(); ++pi) {
         if (f.params[pi].name == e.recv) {
@@ -440,14 +387,13 @@ std::vector<ResourceEffect> effects_from_events(
   return out;
 }
 
-bool same_effects(const std::vector<ResourceEffect>& a,
-                  const std::vector<ResourceEffect>& b) {
+bool same_protocol_effects(const std::vector<ProtocolEffect>& a,
+                           const std::vector<ProtocolEffect>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].row != b[i].row || a[i].recv_param != b[i].recv_param ||
-        a[i].recv != b[i].recv || a[i].may_acquire != b[i].may_acquire ||
-        a[i].may_release != b[i].may_release ||
-        a[i].releases_all != b[i].releases_all) {
+    if (a[i].protocol != b[i].protocol ||
+        a[i].recv_param != b[i].recv_param || a[i].recv != b[i].recv ||
+        a[i].events != b[i].events) {
       return false;
     }
   }
@@ -465,7 +411,7 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-constexpr std::string_view kCacheMagic = "snacc-lint-cache v2";
+constexpr std::string_view kCacheMagic = "snacc-lint-cache v3";
 
 bool load_cache(const std::string& path,
                 const std::vector<const SourceFile*>& files,
@@ -497,39 +443,19 @@ bool load_cache(const std::string& path,
   std::vector<FuncSummary> sums(ndefs);
   for (std::size_t d = 0; d < ndefs; ++d) {
     std::string tag;
-    int coro = 0, async = 0, susp = 0;
-    std::size_t nres = 0, nparams = 0, nproto = 0;
-    if (!(in >> tag >> coro >> async >> susp >> nres >> nparams >> nproto) ||
-        tag != "D") {
+    int async = 0;
+    std::size_t nparams = 0, nproto = 0;
+    if (!(in >> tag >> async >> nparams >> nproto) || tag != "D") {
       return false;
     }
     FuncSummary& s = sums[d];
-    s.is_coroutine = coro != 0;
     s.returns_async = async != 0;
-    s.suspends_forever = susp != 0;
-    s.resources.resize(nres);
-    for (ResourceEffect& e : s.resources) {
-      int acq = 0, rel = 0, rall = 0;
-      if (!(in >> tag >> e.row >> e.recv_param >> acq >> rel >> rall >>
-            e.acquire_line >> e.release_line >> e.recv) ||
-          tag != "R") {
-        return false;
-      }
-      e.may_acquire = acq != 0;
-      e.may_release = rel != 0;
-      e.releases_all = rall != 0;
-    }
     s.params.resize(nparams);
     for (ParamEffect& p : s.params) {
-      int so = 0, w = 0, c = 0, t = 0;
-      if (!(in >> tag >> so >> w >> c >> t >> p.touch_def >> p.touch_line >>
-            p.write_line) ||
-          tag != "P") {
+      int t = 0;
+      if (!(in >> tag >> t >> p.touch_def >> p.touch_line) || tag != "P") {
         return false;
       }
-      p.is_status_out = so != 0;
-      p.status_written = w != 0;
-      p.status_checked = c != 0;
       p.touched = t != 0;
     }
     s.protocols.resize(nproto);
@@ -566,20 +492,11 @@ void save_cache(const std::string& path,
         << files[i]->rel() << '\n';
   }
   for (const FuncSummary& s : sums) {
-    out << "D " << int(s.is_coroutine) << ' ' << int(s.returns_async) << ' '
-        << int(s.suspends_forever) << ' ' << s.resources.size() << ' '
-        << s.params.size() << ' ' << s.protocols.size() << '\n';
-    for (const ResourceEffect& e : s.resources) {
-      out << "R " << e.row << ' ' << e.recv_param << ' '
-          << int(e.may_acquire) << ' ' << int(e.may_release) << ' '
-          << int(e.releases_all) << ' ' << e.acquire_line << ' '
-          << e.release_line << ' ' << e.recv << '\n';
-    }
+    out << "D " << int(s.returns_async) << ' ' << s.params.size() << ' '
+        << s.protocols.size() << '\n';
     for (const ParamEffect& p : s.params) {
-      out << "P " << int(p.is_status_out) << ' ' << int(p.status_written)
-          << ' ' << int(p.status_checked) << ' ' << int(p.touched) << ' '
-          << p.touch_def << ' ' << p.touch_line << ' ' << p.write_line
-          << '\n';
+      out << "P " << int(p.touched) << ' ' << p.touch_def << ' '
+          << p.touch_line << '\n';
     }
     for (const ProtocolEffect& e : s.protocols) {
       out << "T " << e.protocol << ' ' << e.recv_param << ' '
@@ -593,8 +510,8 @@ void save_cache(const std::string& path,
 
 // --- local extraction + propagation ----------------------------------------
 
-/// One status/touch forwarding edge: `def` passes its parameter #param as
-/// argument #arg of `site` (whose callee is resolved).
+/// One touch-forwarding edge: `def` passes its parameter #param as argument
+/// #arg of `site` (whose callee is resolved).
 struct FwdRec {
   int param;
   const CallSite* site;
@@ -604,130 +521,56 @@ struct FwdRec {
 void local_param_effects(const std::vector<Token>& toks,
                          const ScopeInfo& scopes, int func_idx,
                          const std::vector<CallSite>& fsites, int def_id,
-                         bool params_reliable, FuncSummary* s,
-                         std::vector<FwdRec>* fwd) {
-  if (!params_reliable) return;  // positions would be skewed; stay silent
+                         FuncSummary* s, std::vector<FwdRec>* fwd) {
   const FuncScope& f = scopes.funcs[static_cast<std::size_t>(func_idx)];
   s->params.resize(f.params.size());
-  for (std::size_t pi = 0; pi < f.params.size(); ++pi) {
-    const Param& p = f.params[pi];
-    s->params[pi].is_status_out =
-        p.type_name == "PutStatus" && (p.is_pointer || p.is_lvalue_ref);
-  }
   const auto nested = child_ranges(scopes, func_idx);
-
-  // Sites of this function, for argument containment checks.
   std::vector<const CallSite*> own_sites;
   for (const CallSite& site : fsites) {
-    if (site.caller == def_id) own_sites.push_back(&site);
+    if (site.caller == def_id && site.callee >= 0) own_sites.push_back(&site);
   }
-  const auto forwarded_at = [&](std::size_t i, std::string_view pname)
-      -> std::pair<const CallSite*, int> {
-    for (const CallSite* site : own_sites) {
-      for (std::size_t a = 0; a < site->args.size(); ++a) {
-        const auto& [ab, ae] = site->args[a];
-        if (i >= ab && i < ae && root_ident(toks, {ab, ae}) == pname) {
-          return {site, static_cast<int>(a)};
-        }
-      }
-    }
-    return {nullptr, -1};
-  };
-
   for (std::size_t i = f.body_begin + 1;
        i < f.body_end && i < toks.size(); ++i) {
     if (in_ranges(nested, i) || toks[i].kind != Tok::kIdent) continue;
-    std::size_t pi = f.params.size();
-    for (std::size_t k = 0; k < f.params.size(); ++k) {
-      if (f.params[k].name == toks[i].text) {
-        pi = k;
-        break;
-      }
-    }
+    std::size_t pi = 0;
+    while (pi < f.params.size() && f.params[pi].name != toks[i].text) ++pi;
     if (pi == f.params.size()) continue;
-    const Param& p = f.params[pi];
     ParamEffect& pe = s->params[pi];
 
     // Receiver of a method call: the parameter is "touched" here.
-    if (i + 3 < toks.size() && (toks[i + 1].is(".") || toks[i + 1].is("->")) &&
+    if (!pe.touched && i + 3 < toks.size() &&
+        (toks[i + 1].is(".") || toks[i + 1].is("->")) &&
         toks[i + 2].kind == Tok::kIdent && toks[i + 3].is("(")) {
-      if (!pe.touched) {
-        pe.touched = true;
-        pe.touch_def = def_id;
-        pe.touch_line = toks[i].line;
-      }
+      pe.touched = true;
+      pe.touch_def = def_id;
+      pe.touch_line = toks[i].line;
     }
 
-    // Status out-param writes: `*st = ...` (pointer) / `st = ...` (ref).
-    if (pe.is_status_out) {
-      const bool ptr_write = p.is_pointer && i > 0 && toks[i - 1].is("*") &&
-                             i + 1 < toks.size() && toks[i + 1].is("=");
-      const bool ref_write =
-          p.is_lvalue_ref && i + 1 < toks.size() && toks[i + 1].is("=");
-      if (ptr_write || ref_write) {
-        if (!pe.status_written) {
-          pe.status_written = true;
-          pe.write_line = toks[i].line;
-        }
-        continue;
-      }
-    }
-
-    // Passed along as an argument: record the edge for propagation. When
-    // the callee is opaque, mirror the intraprocedural rule's convention:
-    // handing the status away under `&` is a write (out-param shape), a
-    // plain forward is the read that consumes the pending value.
-    if (const auto [site, arg] = forwarded_at(i, p.name); site != nullptr) {
-      if (site->callee >= 0) {
-        fwd->push_back({static_cast<int>(pi), site, arg});
-      } else if (pe.is_status_out) {
-        if (i > 0 && toks[i - 1].is("&")) {
-          if (!pe.status_written) {
-            pe.status_written = true;
-            pe.write_line = toks[i].line;
-          }
-        } else {
-          pe.status_checked = true;
+    // Passed along to a resolved callee: record the edge for propagation.
+    for (const CallSite* site : own_sites) {
+      for (std::size_t a = 0; a < site->args.size(); ++a) {
+        const auto& [ab, ae] = site->args[a];
+        if (i >= ab && i < ae && root_ident(toks, {ab, ae}) == toks[i].text) {
+          fwd->push_back({static_cast<int>(pi), site, static_cast<int>(a)});
         }
       }
-      continue;
     }
-
-    // Any other plain use of a status out-param reads/compares it.
-    if (pe.is_status_out && plain_use(toks, i)) pe.status_checked = true;
   }
 }
 
 }  // namespace
 
-std::vector<std::vector<ResourceEventEx>> resource_events(
-    const ProgramInfo* prog, int file, const SourceFile& sf,
-    const ScopeInfo& scopes, const Cfg& cfg, int func_idx) {
-  std::vector<std::vector<ResourceEventEx>> evs(cfg.blocks.size());
-  direct_events(sf.tokens(), scopes, func_idx, cfg, nullptr, &evs);
-  if (prog != nullptr) {
-    const int def_id = prog->graph.def_of(file, func_idx);
-    substituted_events(prog->summaries, sf.tokens(),
-                       prog->graph.sites(file), def_id, cfg, &evs);
-    sort_blocks(&evs);
-  }
-  return evs;
-}
-
 std::vector<std::vector<TsEventRef>> typestate_events(
     const ProgramInfo* prog, int file, const SourceFile& sf,
     const ScopeInfo& scopes, const Cfg& cfg, int func_idx,
-    std::size_t protocol) {
-  std::vector<std::vector<TsEventRef>> evs(cfg.blocks.size());
-  direct_ts_events(sf.tokens(), scopes, func_idx, cfg, protocol, &evs);
-  if (prog != nullptr) {
-    const int def_id = prog->graph.def_of(file, func_idx);
-    substituted_ts_events(prog->summaries, sf.tokens(),
-                          prog->graph.sites(file), def_id, cfg, protocol,
-                          &evs);
-    sort_ts_blocks(&evs);
-  }
-  return evs;
+    std::uint32_t protocols) {
+  const bool whole = prog != nullptr;
+  const FuncEvents fe = direct_ts_events(
+      sf.tokens(), scopes, func_idx, cfg, protocols,
+      whole ? &prog->graph.sites(file) : nullptr,
+      whole ? prog->graph.def_of(file, func_idx) : -1);
+  return merge_ts_events(fe, whole ? &prog->summaries : nullptr, sf.tokens(),
+                         protocols);
 }
 
 ProgramInfo build_program(const std::vector<const SourceFile*>& files,
@@ -749,81 +592,54 @@ ProgramInfo build_program(const std::vector<const SourceFile*>& files,
   prog.summaries.assign(defs.size(), {});
   std::vector<std::vector<FwdRec>> fwd(defs.size());
   std::vector<std::vector<const CallSite*>> return_sites(defs.size());
+  std::vector<FuncEvents> direct(defs.size());
+  const std::uint32_t all = bit(typestate_protocols().size()) - 1;
 
-  // Local pass: per-function facts that need no other function's summary.
+  // Local pass: per-function facts that need no other function's summary,
+  // including every direct typestate event (callee effects vary by round,
+  // a function's own tokens do not).
   for (std::size_t d = 0; d < defs.size(); ++d) {
     const FuncDef& fd = defs[d];
     const auto fi = static_cast<std::size_t>(fd.file);
     const auto& toks = files[fi]->tokens();
-    const FuncScope& f =
-        scopes[fi].funcs[static_cast<std::size_t>(fd.func)];
     FuncSummary& s = prog.summaries[d];
-    s.is_coroutine = fd.is_coroutine;
     s.returns_async = fd.returns_async;
-    const Cfg& cfg = cfgs[fi]->get(fd.func);
-    if (fd.is_coroutine && !f.suspends.empty()) {
-      const std::vector<bool> reach = blocks_reaching_exit(cfg);
-      for (std::size_t b = 0; b < cfg.blocks.size() && !s.suspends_forever;
-           ++b) {
-        if (cfg.blocks[b].suspends && !reach[b]) s.suspends_forever = true;
-      }
+    const auto& sites = prog.graph.sites(fd.file);
+    if (fd.params_reliable) {  // else positions would be skewed
+      local_param_effects(toks, scopes[fi], fd.func, sites,
+                          static_cast<int>(d), &s, &fwd[d]);
     }
-    local_param_effects(toks, scopes[fi], fd.func,
-                        prog.graph.sites(fd.file), static_cast<int>(d),
-                        fd.params_reliable, &s, &fwd[d]);
-    for (const CallSite& site : prog.graph.sites(fd.file)) {
+    for (const CallSite& site : sites) {
       if (site.caller != static_cast<int>(d) || site.name_tok == 0) continue;
       const Token& before = toks[site.name_tok - 1];
       if (before.ident("return") || before.ident("co_return")) {
         return_sites[d].push_back(&site);
       }
     }
+    direct[d] = direct_ts_events(toks, scopes[fi], fd.func,
+                                 cfgs[fi]->get(fd.func), all, &sites,
+                                 static_cast<int>(d));
   }
 
-  // Phase 1: monotone fixpoint for status / touch / returns_async facts
-  // flowing through resolved call edges. Bounded rounds; each fact only
-  // ever flips false -> true, so the loop terminates early in practice.
+  // Phase 1: monotone fixpoint for touch / returns_async facts flowing
+  // through resolved call edges. Bounded rounds; each fact only ever flips
+  // false -> true, so the loop terminates early in practice.
   for (int round = 0; round < 8; ++round) {
     bool changed = false;
     for (std::size_t d = 0; d < defs.size(); ++d) {
       for (const FwdRec& fr : fwd[d]) {
         const auto c = static_cast<std::size_t>(fr.site->callee);
-        ParamEffect& pe =
-            prog.summaries[d].params[static_cast<std::size_t>(fr.param)];
         if (!defs[c].params_reliable ||
             static_cast<std::size_t>(fr.arg) >=
                 prog.summaries[c].params.size()) {
-          // Opaque parameter shape: same conservative answer as an
-          // unresolved callee.
-          if (pe.is_status_out && !pe.status_written) {
-            pe.status_written = true;
-            pe.write_line = fr.site->line;
-            changed = true;
-          }
-          continue;
+          continue;  // opaque parameter shape: learn nothing
         }
+        ParamEffect& pe =
+            prog.summaries[d].params[static_cast<std::size_t>(fr.param)];
         const ParamEffect& cpe =
             prog.summaries[c].params[static_cast<std::size_t>(fr.arg)];
-        if (pe.is_status_out) {
-          if (cpe.is_status_out) {
-            if (cpe.status_written && !pe.status_written) {
-              pe.status_written = true;
-              pe.write_line = fr.site->line;
-              changed = true;
-            }
-            if (cpe.status_checked && !pe.status_checked) {
-              pe.status_checked = true;
-              changed = true;
-            }
-          } else if (!pe.status_checked) {
-            pe.status_checked = true;  // consumed by value
-            changed = true;
-          }
-        }
         if (cpe.touched && !pe.touched) {
-          pe.touched = true;
-          pe.touch_def = cpe.touch_def;
-          pe.touch_line = cpe.touch_line;
+          pe = cpe;
           changed = true;
         }
       }
@@ -842,56 +658,38 @@ ProgramInfo build_program(const std::vector<const SourceFile*>& files,
     if (!changed) break;
   }
 
-  // Phase 2: resource + protocol effects. Each round recomputes every
-  // function's effects with the current callee summaries substituted at
-  // call sites (Gauss-Seidel in def order); effects grow monotonically
-  // towards the key set reachable through the call graph, so a handful of
-  // rounds covers any realistic helper depth. Recursion simply stabilizes
-  // (protocol effects additionally cap sequence length, so a pathological
-  // self-growing recursion drops to opaque instead of oscillating).
-  const std::size_t nproto = typestate_protocols().size();
+  // Phase 2: protocol effects. Each round recomputes every function's
+  // effects with the current callee summaries spliced in at call sites
+  // (Gauss-Seidel in def order); effects grow towards the key set
+  // reachable through the call graph, so a handful of rounds covers any
+  // realistic helper depth. Recursion stabilizes or, past the sequence
+  // cap, drops to opaque instead of oscillating.
   std::vector<std::vector<bool>> mand(defs.size());
   for (int round = 0; round < 5; ++round) {
     bool changed = false;
     for (std::size_t d = 0; d < defs.size(); ++d) {
+      const FuncEvents& fe = direct[d];
+      if (fe.calls.empty() &&
+          std::all_of(fe.blocks.begin(), fe.blocks.end(),
+                      [](const auto& v) { return v.empty(); })) {
+        continue;
+      }
       const FuncDef& fd = defs[d];
       const auto fi = static_cast<std::size_t>(fd.file);
-      const auto& toks = files[fi]->tokens();
-      const FuncScope& f =
-          scopes[fi].funcs[static_cast<std::size_t>(fd.func)];
-      const Cfg& cfg = cfgs[fi]->get(fd.func);
-      std::vector<std::vector<ResourceEventEx>> evs(cfg.blocks.size());
-      direct_events(toks, scopes[fi], fd.func, cfg,
-                    fd.params_reliable ? &f.params : nullptr, &evs);
-      substituted_events(prog.summaries, toks,
-                         prog.graph.sites(fd.file), static_cast<int>(d), cfg,
-                         &evs);
-      sort_blocks(&evs);
-      std::vector<ResourceEffect> effects =
-          effects_from_events(cfg, evs, f, fd.params_reliable);
-      if (!same_effects(effects, prog.summaries[d].resources)) {
-        prog.summaries[d].resources = std::move(effects);
-        changed = true;
+      const auto evs =
+          merge_ts_events(fe, &prog.summaries, files[fi]->tokens(), all);
+      std::vector<ProtocolEffect> effects;
+      if (std::any_of(evs.begin(), evs.end(),
+                      [](const auto& v) { return !v.empty(); })) {
+        if (mand[d].empty()) {
+          mand[d] = mandatory_acyclic(cfgs[fi]->get(fd.func));
+        }
+        effects = effects_from_ts_events(
+            mand[d], evs, scopes[fi].funcs[static_cast<std::size_t>(fd.func)],
+            fd.params_reliable, fe.locals);
       }
-
-      std::vector<ProtocolEffect> proto_effects;
-      for (std::size_t p = 0; p < nproto; ++p) {
-        std::vector<std::vector<TsEventRef>> tevs(cfg.blocks.size());
-        direct_ts_events(toks, scopes[fi], fd.func, cfg, p, &tevs);
-        substituted_ts_events(prog.summaries, toks,
-                              prog.graph.sites(fd.file), static_cast<int>(d),
-                              cfg, p, &tevs);
-        sort_ts_blocks(&tevs);
-        bool any = false;
-        for (const auto& v : tevs) any = any || !v.empty();
-        if (!any) continue;
-        if (mand[d].empty()) mand[d] = mandatory_acyclic(cfg);
-        effects_from_ts_events(cfg, mand[d], tevs, p, f, fd.params_reliable,
-                               &proto_effects);
-      }
-      if (!same_protocol_effects(proto_effects,
-                                 prog.summaries[d].protocols)) {
-        prog.summaries[d].protocols = std::move(proto_effects);
+      if (!same_protocol_effects(effects, prog.summaries[d].protocols)) {
+        prog.summaries[d].protocols = std::move(effects);
         changed = true;
       }
     }

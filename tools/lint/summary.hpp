@@ -2,26 +2,22 @@
 //
 // A FuncSummary abstracts what a function does to the outside world in the
 // vocabulary the interprocedural rules speak:
-//   * resources  -- acquire/release effects from the resource policy table,
-//                   with "released on all paths" proven by the function's
-//                   own CFG dataflow, keyed to a parameter when the
-//                   receiver is one (so callers substitute their argument);
-//   * params     -- status out-params written/checked, and parameters used
-//                   as method-call receivers ("touched", the hook that lets
-//                   a component inherit its domain through a wrapper);
-//   * returns_async / is_coroutine / suspends_forever -- async frame facts
-//                   (suspends_forever: a suspension point from which the
-//                   CFG cannot reach function exit, e.g. inside a
-//                   `while (true)` pump).
+//   * protocols  -- the typestate events the function performs
+//                   unconditionally on each tracked object (ProtocolEffect),
+//                   keyed to a parameter when the object is one (so callers
+//                   substitute their argument);
+//   * params     -- parameters used as method-call receivers ("touched", the
+//                   hook that lets a component inherit its domain through a
+//                   wrapper);
+//   * returns_async -- the function returns a Task/Future, declared or
+//                   propagated through `auto` return sites.
 //
 // Summaries are computed bottom-up: a local pass per function, then a
-// fixpoint propagation that forwards effects through resolved call edges
-// (status/touch facts first, then resource effects with callee events
-// substituted at call sites). Everything is conservative on ambiguity: an
-// unresolved call contributes nothing, except that handing a status
-// out-pointer to an unknown callee counts as a write (the pre-existing
-// local over-approximation, kept so `--no-summaries` is strictly less
-// precise, never differently wrong).
+// fixpoint propagation that forwards facts through resolved call edges
+// (touch/async facts first, then protocol effects with callee events
+// spliced in at call sites). Everything is conservative on ambiguity: an
+// unresolved call contributes nothing, so `--no-summaries` is strictly less
+// precise, never differently wrong.
 //
 // The whole table can be cached keyed by file content hashes: the cache is
 // all-or-nothing (any changed file invalidates it), which is trivially
@@ -37,31 +33,12 @@
 
 namespace lint {
 
-struct ResourceEffect {
-  std::size_t row = 0;  ///< resource_pair_policy() index
-  /// Receiver is the function's parameter #recv_param; -1 for a named
-  /// receiver (member/global), which substitutes into callers textually.
-  int recv_param = -1;
-  std::string recv;  ///< receiver identifier as written in the function
-  bool may_acquire = false;
-  bool may_release = false;
-  /// True when every acquire of this key is released on all paths to exit
-  /// (the balanced-helper case: callers see no net effect).
-  bool releases_all = false;
-  std::uint32_t acquire_line = 0;  ///< first acquire, for code flows
-  std::uint32_t release_line = 0;
-};
-
 struct ParamEffect {
-  bool is_status_out = false;  ///< PutStatus* / PutStatus& parameter
-  bool status_written = false;
-  bool status_checked = false;
   /// Parameter is the receiver of a method call somewhere below this
   /// function (directly or through a resolved callee).
   bool touched = false;
   int touch_def = -1;  ///< def id where the concrete method call lives
   std::uint32_t touch_line = 0;
-  std::uint32_t write_line = 0;
 };
 
 /// Typestate events a function performs on one tracked object, in program
@@ -69,8 +46,8 @@ struct ParamEffect {
 /// sequences are recorded: every event lies in a block that is on every
 /// entry-to-exit path and in no cycle, so the order is fixed and a caller
 /// can splice the sequence in at the call site. Anything conditional,
-/// looped, or longer than a small cap makes the whole key opaque (the
-/// exact same conservative-on-ambiguity policy the resource effects use).
+/// looped, or longer than a small cap makes the whole key opaque, and
+/// objects declared inside the function never escape into its summary.
 struct ProtocolEffect {
   std::size_t protocol = 0;  ///< typestate_protocols() index
   /// Receiver is the function's parameter #recv_param; -1 for a named
@@ -82,10 +59,7 @@ struct ProtocolEffect {
 };
 
 struct FuncSummary {
-  bool is_coroutine = false;
   bool returns_async = false;
-  bool suspends_forever = false;
-  std::vector<ResourceEffect> resources;
   /// Parallel to the FuncScope's params; empty when params are unreliable.
   std::vector<ParamEffect> params;
   std::vector<ProtocolEffect> protocols;
@@ -109,30 +83,10 @@ ProgramInfo build_program(const std::vector<const SourceFile*>& files,
                           const std::vector<const CfgCache*>& cfgs,
                           const std::string& cache_path, bool* cache_hit);
 
-/// One resource event attributed to a CFG block of a function, as consumed
-/// by the flow rules: either a direct `recv.verb()` call in the function's
-/// own body (receiver matched against the policy glob) or an effect
-/// substituted from a resolved callee's summary at a call site.
-struct ResourceEventEx {
-  std::size_t row = 0;
-  std::string recv;      ///< caller-side receiver identifier
-  bool acquire = false;  ///< else: release
-  std::uint32_t line = 0;
-  std::size_t tok = 0;  ///< ordering position within the block
-  int callee_def = -1;  ///< >= 0 when substituted from a callee summary
-  std::uint32_t callee_line = 0;  ///< event's line inside that callee
-};
-
-/// Per-CFG-block resource events of `scopes.funcs[func_idx]`. With
-/// `prog == nullptr` this reproduces the pre-interprocedural behaviour
-/// exactly (direct events only) -- the `--no-summaries` path.
-std::vector<std::vector<ResourceEventEx>> resource_events(
-    const ProgramInfo* prog, int file, const SourceFile& sf,
-    const ScopeInfo& scopes, const Cfg& cfg, int func_idx);
-
-/// One typestate event attributed to a CFG block: a direct `recv.verb()`
-/// call on a tracked object, or a callee's ProtocolEffect spliced in at a
-/// call site (callee_def >= 0, with the event's line inside that callee).
+/// One typestate event attributed to a CFG block: a direct event on a
+/// tracked object (`recv.verb()` or one of the plain-use forms, see
+/// typestate.hpp), or a callee's ProtocolEffect spliced in at a call site
+/// (callee_def >= 0, with the event's line inside that callee).
 struct TsEventRef {
   std::size_t protocol = 0;
   int event = 0;
@@ -143,12 +97,13 @@ struct TsEventRef {
   std::uint32_t callee_line = 0;
 };
 
-/// Per-CFG-block typestate events of `scopes.funcs[func_idx]` for one
-/// protocol table. Same degradation contract as resource_events: with
-/// `prog == nullptr` only direct events appear (`--no-summaries`).
+/// Per-CFG-block typestate events of `scopes.funcs[func_idx]` for every
+/// protocol whose bit is set in `protocols` (bit p = typestate_protocols()
+/// index p), from one token pass over the function. With `prog == nullptr`
+/// only direct events appear (`--no-summaries`).
 std::vector<std::vector<TsEventRef>> typestate_events(
     const ProgramInfo* prog, int file, const SourceFile& sf,
     const ScopeInfo& scopes, const Cfg& cfg, int func_idx,
-    std::size_t protocol);
+    std::uint32_t protocols);
 
 }  // namespace lint

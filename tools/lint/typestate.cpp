@@ -10,18 +10,18 @@
 // *and* gives every node a BFS tree parent for witness-path
 // reconstruction. Errors fire on an event observed in a reachable error
 // state; obligations fire on an obligation state reachable at the CFG
-// exit. Both carry the event chain from function entry as PathSteps
-// (cross-file steps when an event was spliced in from a callee's protocol
-// effect).
+// exit, or left by a suspending block that cannot reach the exit. Both
+// carry the event chain from function entry as PathSteps (cross-file steps
+// when an event was spliced in from a callee's protocol effect).
 //
-// Interprocedural lift and `--no-summaries` degradation live in
-// summary.cpp (typestate_events / ProtocolEffect): with summaries off the
-// engine sees direct events only, so a finding whose witness spans a call
-// disappears -- strictly less precise, never differently wrong.
+// Event extraction, the interprocedural lift and `--no-summaries`
+// degradation live in summary.cpp (typestate_events / ProtocolEffect):
+// with summaries off the engine sees direct events only, so a finding
+// whose witness spans a call disappears -- strictly less precise, never
+// differently wrong.
 #include "lint/typestate.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -31,21 +31,6 @@
 namespace lint {
 
 namespace {
-
-bool path_starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
-std::string callee_name(const ProgramInfo& prog, int def) {
-  const std::string_view n =
-      prog.graph.defs()[static_cast<std::size_t>(def)].name;
-  return n.empty() ? std::string("<lambda>") : std::string(n);
-}
-
-const std::string& callee_file(const ProgramInfo& prog, int def) {
-  return prog.file_rels[static_cast<std::size_t>(
-      prog.graph.defs()[static_cast<std::size_t>(def)].file)];
-}
 
 /// Deterministic next state for `event` in `state`: the transition row if
 /// one exists, else stay. Error rows do not move the state by themselves.
@@ -63,71 +48,85 @@ const TsError* error_row(const TsProtocol& p, int state, int event) {
   return nullptr;
 }
 
+/// How an event reads in messages: `'x.verb()'` for a method event, the
+/// plain-use form spelled out otherwise.
+std::string event_text(const TsProtocol& p, int event, const std::string& obj) {
+  const std::string_view ev = p.events[static_cast<std::size_t>(event)];
+  if (ev == kTsFormEvents[0]) return "'" + obj + "' declared";
+  if (ev == kTsFormEvents[1]) return "'&" + obj + "' passed to a call";
+  if (ev == kTsFormEvents[2]) return "'" + obj + "' written";
+  if (ev == kTsFormEvents[3]) return "'" + obj + "' read";
+  return "'" + obj + "." + std::string(ev) + "()'";
+}
+
 class TypestateRule final : public Rule {
  public:
-  explicit TypestateRule(std::size_t proto) : proto_(proto) {}
+  TypestateRule(std::string_view name, std::uint32_t tables)
+      : name_(name), tables_(tables) {}
 
-  std::string_view name() const override {
-    return typestate_protocols()[proto_].rule_name;
-  }
+  std::string_view name() const override { return name_; }
   std::string_view description() const override {
-    return typestate_protocols()[proto_].description;
+    const auto& ps = typestate_protocols();
+    for (std::size_t p = 0; p < ps.size(); ++p) {
+      if ((tables_ >> p) & 1u) return ps[p].description;
+    }
+    return {};
   }
 
   void run(const RuleContext& ctx, std::vector<Finding>* out) const override {
-    const TsProtocol& p = typestate_protocols()[proto_];
-    if (!p.path_prefixes.empty()) {
-      bool in_scope = false;
-      for (const std::string_view pre : p.path_prefixes) {
-        in_scope |= path_starts_with(ctx.file.rel(), pre);
+    const auto& ps = typestate_protocols();
+    std::uint32_t sel = 0;
+    for (std::size_t p = 0; p < ps.size(); ++p) {
+      if (((tables_ >> p) & 1u) == 0) continue;
+      bool in_scope = ps[p].path_prefixes.empty();
+      for (const std::string_view pre : ps[p].path_prefixes) {
+        in_scope |= starts_with(ctx.file.rel(), pre);
       }
-      if (!in_scope) return;
+      if (in_scope) sel |= std::uint32_t{1} << p;
     }
+    if (sel == 0) return;
     for (std::size_t fi = 0; fi < ctx.scopes.funcs.size(); ++fi) {
       const FuncScope& f = ctx.scopes.funcs[fi];
       if (f.body_end <= f.body_begin) continue;
       const Cfg& cfg = ctx.cfgs.get(static_cast<int>(fi));
       const auto evs =
           typestate_events(ctx.prog, ctx.file_index, ctx.file, ctx.scopes,
-                           cfg, static_cast<int>(fi), proto_);
-      std::set<std::string> objects;
+                           cfg, static_cast<int>(fi), sel);
+      std::set<std::pair<std::size_t, std::string>> objects;
       for (const auto& v : evs) {
-        for (const TsEventRef& e : v) objects.insert(e.recv);
+        for (const TsEventRef& e : v) objects.emplace(e.protocol, e.recv);
       }
-      for (const std::string& obj : objects) {
-        check_object(ctx, p, cfg, evs, obj, out);
+      std::vector<bool> reach;  // blocks reaching exit, built on first need
+      for (const auto& [p, obj] : objects) {
+        check_object(ctx, ps[p], p, cfg, evs, obj, &reach, out);
       }
     }
   }
 
  private:
-  /// The per-object chain of one block, in execution order.
-  static std::vector<const TsEventRef*> chain_of(
-      const std::vector<TsEventRef>& block_evs, const std::string& obj) {
-    std::vector<const TsEventRef*> chain;
-    for (const TsEventRef& e : block_evs) {
-      if (e.recv == obj) chain.push_back(&e);
-    }
-    return chain;
-  }
-
   void check_object(const RuleContext& ctx, const TsProtocol& p,
-                    const Cfg& cfg,
+                    std::size_t proto, const Cfg& cfg,
                     const std::vector<std::vector<TsEventRef>>& evs,
-                    const std::string& obj,
+                    const std::string& obj, std::vector<bool>* reach,
                     std::vector<Finding>* out) const {
     const std::size_t nb = cfg.blocks.size();
     const std::size_t ns = p.states.size();
+    // The per-object chain of each block, in execution order.
     std::vector<std::vector<const TsEventRef*>> chains(nb);
     std::vector<bool> has_event(p.events.size(), false);
     for (std::size_t b = 0; b < nb; ++b) {
-      chains[b] = chain_of(evs[b], obj);
-      for (const TsEventRef* e : chains[b]) {
-        has_event[static_cast<std::size_t>(e->event)] = true;
+      for (const TsEventRef& e : evs[b]) {
+        if (e.protocol != proto || e.recv != obj) continue;
+        chains[b].push_back(&e);
+        has_event[static_cast<std::size_t>(e.event)] = true;
       }
     }
     const auto armed = [&](int gate) {
       return gate < 0 || has_event[static_cast<std::size_t>(gate)];
+    };
+    const auto run_chain = [&](std::size_t b, int s) {
+      for (const TsEventRef* e : chains[b]) s = step(p, s, e->event);
+      return s;
     };
 
     // Reachable <block, entry-state> nodes, BFS from (entry, initial) with
@@ -144,10 +143,8 @@ class TypestateRule final : public Rule {
     for (std::size_t qi = 0; qi < queue.size(); ++qi) {
       const std::size_t node = queue[qi];
       const int b = static_cast<int>(node / ns);
-      int s = static_cast<int>(node % ns);
-      for (const TsEventRef* e : chains[static_cast<std::size_t>(b)]) {
-        s = step(p, s, e->event);
-      }
+      const int s = run_chain(static_cast<std::size_t>(b),
+                              static_cast<int>(node % ns));
       for (const int succ : cfg.block(b).succ) {
         const std::size_t nid = id(succ, s);
         if (seen[nid]) continue;
@@ -170,23 +167,19 @@ class TypestateRule final : public Rule {
       std::reverse(nodes.begin(), nodes.end());
       std::vector<PathStep> steps;
       for (std::size_t k = 0; k < nodes.size(); ++k) {
-        const int b = static_cast<int>(nodes[k] / ns);
+        const auto& chain = chains[nodes[k] / ns];
         int s = static_cast<int>(nodes[k] % ns);
-        const auto& chain = chains[static_cast<std::size_t>(b)];
         const std::size_t stop =
             (k + 1 == nodes.size() && upto != SIZE_MAX) ? upto : chain.size();
         for (std::size_t e = 0; e < stop && e < chain.size(); ++e) {
           const TsEventRef& ev = *chain[e];
           const int to = step(p, s, ev.event);
-          const std::string call =
-              "'" + obj + "." + std::string(p.events[ev.event]) + "()'";
-          std::string note;
-          if (ev.callee_def >= 0) {
-            note = "call into '" + callee_name(*ctx.prog, ev.callee_def) +
-                   "' performs " + call;
-          } else {
-            note = call;
-          }
+          const std::string what = event_text(p, ev.event, obj);
+          std::string note =
+              ev.callee_def >= 0
+                  ? "call into '" + callee_name(*ctx.prog, ev.callee_def) +
+                        "' performs " + what
+                  : what;
           if (to != s) {
             note += ": '" + obj + "' " + std::string(p.states[s]) + " -> " +
                     std::string(p.states[to]);
@@ -221,16 +214,14 @@ class TypestateRule final : public Rule {
           const TsError* row = error_row(p, s, ev.event);
           if (row != nullptr && armed(row->gate_event) &&
               reported.emplace(ev.line, row).second) {
+            const std::string what = event_text(p, ev.event, obj);
             Finding fd{ctx.file.rel(), ev.line, std::string(p.rule_name),
-                       "'" + obj + "." + std::string(p.events[ev.event]) +
-                           "()' while '" + obj + "' is " +
+                       what + " while '" + obj + "' is " +
                            std::string(p.states[s]) + " on some path: " +
                            std::string(row->message),
                        {}};
             fd.path = trace(node, e);
-            std::string last = "'" + obj + "." +
-                               std::string(p.events[ev.event]) +
-                               "()' in state " + std::string(p.states[s]);
+            std::string last = what + " in state " + std::string(p.states[s]);
             if (ev.callee_def >= 0) {
               last += " (via '" + callee_name(*ctx.prog, ev.callee_def) + "')";
             }
@@ -242,17 +233,38 @@ class TypestateRule final : public Rule {
       }
     }
 
-    // Exit obligations: an armed obligation state reachable at the CFG
-    // exit. Reported at the last event that entered (or kept) the state on
-    // the witness path, with the full trace attached.
+    // Obligations: an armed obligation state reachable at the CFG exit or,
+    // failing that, left by a suspending block from which the exit is
+    // unreachable (the coroutine parks there forever). Reported at the
+    // last caller-side event of the witness path, with the full trace.
     for (const TsObligation& ob : p.obligations) {
-      if (!armed(ob.gate_event)) continue;
-      const std::size_t node = id(cfg.exit, ob.state);
-      if (ob.state == 0 || !seen[node]) continue;
+      if (ob.state == 0 || !armed(ob.gate_event)) continue;
+      const std::string state(p.states[ob.state]);
+      const std::string held = "'" + obj + "' still " + state;
+      std::size_t node = id(cfg.exit, ob.state);
+      std::string where = "can reach function exit";
+      PathStep last{cfg.block(cfg.exit).line, "function exit with " + held};
+      if (!seen[node]) {
+        node = SIZE_MAX;
+        if (reach->empty()) *reach = blocks_reaching_exit(cfg);
+        for (std::size_t b = 0; b < nb && node == SIZE_MAX; ++b) {
+          if (!cfg.blocks[b].suspends || (*reach)[b]) continue;
+          for (std::size_t s0 = 0; s0 < ns && node == SIZE_MAX; ++s0) {
+            const std::size_t n = id(static_cast<int>(b), static_cast<int>(s0));
+            if (seen[n] && run_chain(b, static_cast<int>(s0)) == ob.state) {
+              node = n;
+            }
+          }
+        }
+        if (node == SIZE_MAX) continue;
+        where = "can park forever at a suspension point";
+        last = {cfg.block(static_cast<int>(node / ns)).line,
+                "suspends here with no path back to function exit, " + held};
+      }
       std::vector<PathStep> steps = trace(node, SIZE_MAX);
-      // Find the offending event: the last step is the state's most recent
-      // cause because trace emits events in execution order.
-      std::uint32_t at = steps.empty() ? f_line(cfg) : steps.back().line;
+      std::uint32_t at = cfg.block(cfg.entry).line == 0
+                             ? 1
+                             : cfg.block(cfg.entry).line;
       for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
         if (it->file.empty()) {
           at = it->line;
@@ -260,24 +272,18 @@ class TypestateRule final : public Rule {
         }
       }
       Finding fd{ctx.file.rel(), at, std::string(p.rule_name),
-                 "'" + obj + "' can reach function exit still " +
-                     std::string(p.states[ob.state]) + ": " +
+                 "'" + obj + "' " + where + " still " + state + ": " +
                      std::string(ob.message),
                  {}};
       fd.path = std::move(steps);
-      const std::uint32_t exit_ln = cfg.block(cfg.exit).line;
-      fd.path.push_back({exit_ln == 0 ? at : exit_ln,
-                         "function exit with '" + obj + "' still " +
-                             std::string(p.states[ob.state])});
+      if (last.line == 0) last.line = at;
+      fd.path.push_back(std::move(last));
       out->push_back(std::move(fd));
     }
   }
 
-  static std::uint32_t f_line(const Cfg& cfg) {
-    return cfg.block(cfg.entry).line == 0 ? 1 : cfg.block(cfg.entry).line;
-  }
-
-  std::size_t proto_;
+  std::string_view name_;
+  std::uint32_t tables_;  ///< bit p: typestate_protocols()[p] runs here
 };
 
 }  // namespace
@@ -412,15 +418,88 @@ const std::vector<TsProtocol>& typestate_protocols() {
       ps.push_back(std::move(p));
     }
 
+    // Resource pairing, one table per known acquire/release verb pair:
+    //   * credit objects (issue_credits_, alloc_mutex_, exec_slots_,
+    //     window, RateServer): acquire -> release;
+    //   * descriptor rings: read_ring->alloc pairs with free_oldest on the
+    //     retirement path;
+    //   * the reorder buffer: rob_.alloc -> rob_.retire.
+    // The obligation is gated on the release verb: a function that only
+    // acquires is one half of a deliberate cross-coroutine handoff (credits
+    // acquired in the submitter, released at retirement) and stays silent.
+    const auto pairing = [&ps](std::string_view glob, std::string_view acquire,
+                               std::string_view release,
+                               std::string_view description) {
+      TsProtocol p;
+      p.rule_name = "resource-pairing";
+      p.description = description;
+      enum { kFree, kHeld };
+      enum { kAcquire, kRelease };
+      p.states = {"free", "held"};
+      p.events = {acquire, release};
+      p.recv_globs = {glob};
+      p.transitions = {{kFree, kAcquire, kHeld}, {kHeld, kRelease, kFree}};
+      p.obligations = {
+          {kHeld, kRelease,
+           "release on every path (early return/continue?) and before "
+           "parking, or split the handoff into its own function"},
+      };
+      ps.push_back(std::move(p));
+    };
+    pairing("*", "acquire", "release",
+            "acquire/release, ring alloc/free_oldest or rob_ alloc/retire "
+            "pair still held at function exit, or at a suspension that "
+            "never returns, on some path");
+    pairing("*ring*", "alloc", "free_oldest", {});
+    pairing("rob_", "alloc", "retire", {});
+
+    {
+      // PutStatus out-param discipline (docs/DURABILITY.md): a status a
+      // durable write filled (`&st`) or that was assigned must be read on
+      // every path before the function ends. Gated on the declaration: only
+      // a function that owns the status answers for it -- writing a
+      // caller's out-param is the callee's whole job.
+      TsProtocol p;
+      p.rule_name = "unchecked-status-path";
+      p.description =
+          "PutStatus filled through an out-param or assigned, but not read "
+          "on some path to function exit";
+      enum { kClean, kFilled };
+      enum { kDeclare, kFill, kWrite, kCheck };
+      p.states = {"clean", "filled"};
+      p.events = {"declare", "fill", "write", "check"};
+      p.type_names = {"PutStatus"};
+      p.transitions = {{kClean, kFill, kFilled},
+                       {kClean, kWrite, kFilled},
+                       {kFilled, kCheck, kClean},
+                       {kFilled, kDeclare, kClean}};
+      p.obligations = {
+          {kFilled, kDeclare,
+           "a failed durable write would go unnoticed; check the status on "
+           "every path (docs/DURABILITY.md)"},
+      };
+      p.path_prefixes = {"src/", "examples/"};
+      ps.push_back(std::move(p));
+    }
+
     return ps;
   }();
   return kProtocols;
 }
 
 std::vector<std::unique_ptr<Rule>> make_typestate_rules() {
+  const auto& ps = typestate_protocols();
+  std::vector<std::pair<std::string_view, std::uint32_t>> ids;
+  for (std::size_t p = 0; p < ps.size(); ++p) {
+    auto it = std::find_if(ids.begin(), ids.end(), [&](const auto& id) {
+      return id.first == ps[p].rule_name;
+    });
+    if (it == ids.end()) it = ids.insert(ids.end(), {ps[p].rule_name, 0});
+    it->second |= std::uint32_t{1} << p;
+  }
   std::vector<std::unique_ptr<Rule>> out;
-  for (std::size_t i = 0; i < typestate_protocols().size(); ++i) {
-    out.push_back(std::make_unique<TypestateRule>(i));
+  for (const auto& [name, tables] : ids) {
+    out.push_back(std::make_unique<TypestateRule>(name, tables));
   }
   return out;
 }

@@ -2,12 +2,13 @@
 //
 // A protocol is a small state machine over one *tracked object*: states,
 // events (method verbs observed as `recv.verb(...)` / `recv->verb(...)` on
-// the object), legal transitions, error rows with messages, and exit
-// obligations ("this state must not reach function exit"). The typestate
-// engine (typestate.cpp) compiles each table onto the existing per-function
-// CFGs as reachable <object, state-at-block-entry> facts and reports every
-// error with the full event trace attached (Finding::path -> SARIF
-// codeFlows).
+// the object, plus the plain-use forms below), legal transitions, error
+// rows with messages, and obligations ("this state must not reach function
+// exit"). The typestate engine (typestate.cpp) compiles each table onto the
+// existing per-function CFGs as reachable <object, state-at-block-entry>
+// facts and reports every error with the full event trace attached
+// (Finding::path -> SARIF codeFlows). Several tables may share one rule id;
+// each generated rule runs all tables that carry its name.
 //
 // Semantics, chosen so tables stay tiny and conservative:
 //   * state 0 is the initial state and doubles as "unknown": every object
@@ -17,11 +18,13 @@
 //   * an event with no transition row for the current state leaves the
 //     state unchanged (stay), including after an error fires -- so
 //     `close(); push(); push();` reports both pushes;
+//   * an obligation state must not reach function exit, nor be held at a
+//     suspension point from which function exit is unreachable (the
+//     coroutine parks there forever);
 //   * error rows and obligations may carry a gate event: they are armed
 //     only when the function (with callee effects substituted) performs the
-//     gate event on the same object somewhere. This is the exact pairing
-//     gate the resource rules use -- one half of a deliberate
-//     cross-coroutine handoff stays silent.
+//     gate event on the same object somewhere -- so one half of a
+//     deliberate cross-coroutine handoff stays silent.
 //
 // Objects are tracked by declared type (a parameter or local whose type
 // names the protocol's type, template arguments and ref/pointer decorations
@@ -31,6 +34,7 @@
 // guide" in docs/STATIC_ANALYSIS.md.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -38,6 +42,17 @@
 #include "lint/rules.hpp"
 
 namespace lint {
+
+/// Event names the engine also observes on a tracked object `x` without a
+/// method call; a table opts in by listing the name among its events:
+///   declare  `x`'s declaration in the function body
+///   fill     `&x` passed as a call argument
+///   write    `x = ...` or `*x = ...`
+///   check    any other plain read of `x`
+/// When a resolved callee has a protocol effect on the argument `x` is
+/// passed as, the spliced effect replaces these forms at that argument.
+inline constexpr std::array<std::string_view, 4> kTsFormEvents = {
+    "declare", "fill", "write", "check"};
 
 /// `from` --event--> `to`. Unlisted (state, event) pairs stay put.
 struct TsTransition {
@@ -58,7 +73,8 @@ struct TsError {
   std::string_view message;
 };
 
-/// `state` reachable at function exit is a finding (reported at the last
+/// `state` reachable at function exit, or at the end of a suspending block
+/// that cannot reach function exit, is a finding (reported at the last
 /// event that entered the state on the witness path).
 struct TsObligation {
   int state = 0;
@@ -68,10 +84,13 @@ struct TsObligation {
 };
 
 struct TsProtocol {
-  std::string_view rule_name;    ///< e.g. "ts-mailbox"; also the allow() key
-  std::string_view description;  ///< one line, for the rule catalog
+  /// e.g. "ts-mailbox"; also the allow() key. Tables may share one.
+  std::string_view rule_name;
+  /// One line for the rule catalog; the first table of a rule id gives it.
+  std::string_view description;
   std::vector<std::string_view> states;  ///< display names; [0] is initial
-  std::vector<std::string_view> events;  ///< method verbs, unique per table
+  /// Method verbs and kTsFormEvents names, unique per table.
+  std::vector<std::string_view> events;
   /// Tracked-object selectors: declared type names (last identifier of the
   /// template-less type, `sim::Mailbox<int>& mb` -> "Mailbox") and receiver
   /// identifier globs ('*' wildcard).
@@ -90,7 +109,7 @@ struct TsProtocol {
 /// Exposed for the docs drift test.
 const std::vector<TsProtocol>& typestate_protocols();
 
-/// One checker Rule per protocol table, in the same order.
+/// One checker Rule per distinct rule id, in first-table order.
 std::vector<std::unique_ptr<Rule>> make_typestate_rules();
 
 }  // namespace lint
