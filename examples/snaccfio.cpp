@@ -1,7 +1,7 @@
 // snaccfio: a small fio-style workload runner for the simulated testbed --
 // the tool you reach for to explore the design space without writing code.
 //
-//   $ ./snaccfio --engine=snacc --variant=host --rw=randread --bs=4k \
+//   $ ./snaccfio --engine=snacc --variant=host --rw=randread --bs=4k
 //                --size=256m --qd=64
 //   $ ./snaccfio --engine=spdk --rw=write --bs=1m --size=1g
 //

@@ -1,6 +1,7 @@
 #include "pcie/fabric.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace snacc::pcie {
@@ -78,12 +79,17 @@ sim::Task Fabric::restore_link(PortId p, TimePs at) {
 void Fabric::map(Addr base, Bytes size, Target* target, PortId owner,
                  MemKind kind) {
   assert(target != nullptr);
-  // Reject overlapping windows: they would make routing ambiguous.
-  auto next = windows_.upper_bound(base);
-  if (next != windows_.end()) assert(base + size <= next->second.base);
-  if (next != windows_.begin()) {
-    auto prev = std::prev(next);
-    assert(prev->second.base + prev->second.size <= base);
+  // Reject overlapping windows: they would make routing ambiguous. A setup
+  // error like this must fail in every build type, so it is not an assert.
+  const auto next = windows_.upper_bound(base);
+  const bool overlaps_next =
+      next != windows_.end() && base + size > next->second.base;
+  const bool overlaps_prev =
+      next != windows_.begin() &&
+      std::prev(next)->second.base + std::prev(next)->second.size > base;
+  if (overlaps_next || overlaps_prev) {
+    throw std::invalid_argument(
+        "pcie::Fabric::map: window overlaps a mapped one");
   }
   windows_.emplace(base, Window{base, size, target, owner, kind});
 }

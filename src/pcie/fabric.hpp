@@ -117,6 +117,7 @@ class Fabric {
 
   /// Maps [base, base+size) in the global address space onto `target`,
   /// owned by endpoint `owner` (whose RX link serializes inbound traffic).
+  /// Throws std::invalid_argument if the range overlaps a mapped window.
   void map(Addr base, Bytes size, Target* target, PortId owner,
            MemKind kind = MemKind::kDevice);
   void unmap(Addr base);

@@ -162,29 +162,6 @@ class Channel {
     bool closed_wake = false;
   };
 
-  // Intrusive FIFO of waiter nodes; nodes are owned by awaiter objects and
-  // are unlinked exactly once -- when delivered/admitted/closed.
-  template <class W>
-  struct WaiterList {
-    W* head = nullptr;
-    W* tail = nullptr;
-    bool empty() const { return head == nullptr; }
-    void push_back(W* w) {
-      w->next = nullptr;
-      if (tail) tail->next = w;
-      else head = w;
-      tail = w;
-    }
-    W* pop_front() {
-      W* w = head;
-      if (w) {
-        head = w->next;
-        if (!head) tail = nullptr;
-      }
-      return w;
-    }
-  };
-
   void admit_pushers() {
     // Move pending producers' values into freed ring space, FIFO; each
     // admitted producer wakes through the event queue.
@@ -201,8 +178,10 @@ class Channel {
   RingBuf<T> items_;
   RingBuf<T> claimed_;
   RingBuf<T> pending_pushes_;
-  WaiterList<PopWaiter> pop_waiters_;
-  WaiterList<PushWaiter> push_waiters_;
+  // Waiter nodes are owned by awaiter objects and are unlinked exactly once
+  // -- when delivered/admitted/closed.
+  WaitList<PopWaiter> pop_waiters_;
+  WaitList<PushWaiter> push_waiters_;
   bool closed_ = false;
 };
 

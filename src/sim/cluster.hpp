@@ -60,7 +60,6 @@ class MailboxBase {
   MailboxBase& operator=(const MailboxBase&) = delete;
   virtual ~MailboxBase();
 
-  TimePs lookahead() const { return latency_; }
   Domain& producer_domain() const { return *prod_; }
   Domain& consumer_domain() const { return *cons_; }
 
@@ -161,16 +160,6 @@ class SimCluster {
       if (!d->idle()) return false;
     }
     return true;
-  }
-
-  /// Smallest edge lookahead (kNever when no mailbox is registered -- the
-  /// domains are then fully independent and windows are unbounded).
-  TimePs min_lookahead() const {
-    TimePs min = Domain::kNever;
-    for (const MailboxBase* mb : mailboxes_) {
-      min = std::min(min, mb->lookahead());
-    }
-    return min;
   }
 
  private:

@@ -10,8 +10,9 @@
 // live inside the awaiter objects (i.e. in the awaiting coroutine's frame),
 // so the single-waiter fast path -- and every other path -- is inline and
 // allocation-free. The same WaitLink machinery backs WaitGroup, Gate and
-// Semaphore below. Handles must not outlive the Simulator (pool memory
-// returns to the OS at ~Simulator).
+// Semaphore below; the FIFO itself is sim::WaitList (sim/simulator.hpp).
+// Handles must not outlive the Simulator (pool memory returns to the OS at
+// ~Simulator).
 #pragma once
 
 #include <cassert>
@@ -26,32 +27,10 @@ namespace snacc::sim {
 namespace detail {
 
 /// Intrusive waiter link; lives in an awaiter object. The EventNode carries
-/// the wakeup; `next` chains the FIFO.
+/// the wakeup; `next` chains the WaitList FIFO.
 struct WaitLink {
   EventNode ev{};
   WaitLink* next = nullptr;
-};
-
-/// FIFO of WaitLinks with O(1) append/pop. Wake order == await order, which
-/// keeps equal-timestamp scheduling identical to the pre-intrusive kernel.
-struct WaitList {
-  WaitLink* head = nullptr;
-  WaitLink* tail = nullptr;
-  bool empty() const { return head == nullptr; }
-  void append(WaitLink* w) {
-    w->next = nullptr;
-    if (tail) tail->next = w;
-    else head = w;
-    tail = w;
-  }
-  WaitLink* pop_front() {
-    WaitLink* w = head;
-    if (w) {
-      head = w->next;
-      if (!head) tail = nullptr;
-    }
-    return w;
-  }
 };
 
 }  // namespace detail
@@ -102,7 +81,7 @@ class Promise {
     Simulator* sim;
     int refs = 1;
     bool has_value = false;
-    detail::WaitList waiters;
+    WaitList<detail::WaitLink> waiters;
     alignas(T) unsigned char slot[sizeof(T)];
     T* value() { return std::launder(reinterpret_cast<T*>(slot)); }
   };
@@ -153,7 +132,7 @@ class [[nodiscard]] Future {
       bool await_ready() const noexcept { return st->has_value; }
       void await_suspend(std::coroutine_handle<> h) {
         link.ev.h = h;
-        st->waiters.append(&link);
+        st->waiters.push_back(&link);
       }
       T await_resume() {
         assert(st && st->has_value);
@@ -199,7 +178,7 @@ class WaitGroup {
       bool await_ready() const noexcept { return wg->count_ == 0; }
       void await_suspend(std::coroutine_handle<> h) {
         link.ev.h = h;
-        wg->waiters_.append(&link);
+        wg->waiters_.push_back(&link);
       }
       void await_resume() const noexcept {}
     };
@@ -211,7 +190,7 @@ class WaitGroup {
  private:
   Simulator* sim_;
   int count_ = 0;
-  detail::WaitList waiters_;
+  WaitList<detail::WaitLink> waiters_;
 };
 
 /// Level-triggered gate (e.g. Ethernet pause): tasks await `opened()`;
@@ -235,7 +214,7 @@ class Gate {
       bool await_ready() const noexcept { return g->open_; }
       void await_suspend(std::coroutine_handle<> h) {
         link.ev.h = h;
-        g->waiters_.append(&link);
+        g->waiters_.push_back(&link);
       }
       void await_resume() const noexcept {}
     };
@@ -245,7 +224,7 @@ class Gate {
  private:
   Simulator* sim_;
   bool open_;
-  detail::WaitList waiters_;
+  WaitList<detail::WaitLink> waiters_;
 };
 
 /// Counting semaphore for bounded resources (DMA tags, queue slots).
@@ -263,7 +242,7 @@ class Semaphore {
       bool await_ready() const noexcept { return s->permits_ > 0; }
       void await_suspend(std::coroutine_handle<> h) {
         link.ev.h = h;
-        s->waiters_.append(&link);
+        s->waiters_.push_back(&link);
       }
       void await_resume() const {
         // Either taken here (fast path) or pre-reserved by release().
@@ -294,7 +273,7 @@ class Semaphore {
   Simulator* sim_;
   int permits_;
   int reserved_ = 0;  // permits handed to not-yet-resumed waiters
-  detail::WaitList waiters_;
+  WaitList<detail::WaitLink> waiters_;
 };
 
 }  // namespace snacc::sim

@@ -183,26 +183,6 @@ class Mailbox final : public MailboxBase {
     PopWaiter* next = nullptr;
     bool delivered = false;
   };
-  template <class W>
-  struct WaiterList {
-    W* head = nullptr;
-    W* tail = nullptr;
-    bool empty() const { return head == nullptr; }
-    void push_back(W* w) {
-      w->next = nullptr;
-      if (tail) tail->next = w;
-      else head = w;
-      tail = w;
-    }
-    W* pop_front() {
-      W* w = head;
-      if (w) {
-        head = w->next;
-        if (!head) tail = nullptr;
-      }
-      return w;
-    }
-  };
 
   /// A value (or close marker) crossing into the consumer domain: the
   /// cluster merge schedules the embedded node at the record's arrival
@@ -350,7 +330,7 @@ class Mailbox final : public MailboxBase {
   bool closed_tx_ = false;
   bool peer_closed_ = false;
   RingBuf<T> pending_;  // values of parked producers, FIFO with waiters
-  WaiterList<PushWaiter> push_waiters_;
+  WaitList<PushWaiter> push_waiters_;
   std::vector<OutRec> outbox_;  // staged toward the consumer
   std::vector<std::unique_ptr<FeedbackSlot>> feedback_slots_;
   std::vector<FeedbackSlot*> free_feedback_;
@@ -360,7 +340,7 @@ class Mailbox final : public MailboxBase {
   bool rx_closed_ = false;
   RingBuf<T> arrivals_;  // delivered, time-due values
   RingBuf<T> claimed_;   // handed to a woken-but-not-resumed pop
-  WaiterList<PopWaiter> pop_waiters_;
+  WaitList<PopWaiter> pop_waiters_;
   std::vector<FbRec> feedback_;  // staged toward the producer
   std::vector<std::unique_ptr<DeliverySlot>> delivery_slots_;
   std::vector<DeliverySlot*> free_delivery_;

@@ -84,6 +84,33 @@ struct EventNode {
 #endif
 };
 
+/// Intrusive FIFO of parked waiters for the suspension primitives (Future,
+/// WaitGroup, Gate, Semaphore, Channel, Mailbox). `W` is the waiter node,
+/// which lives in the awaiter object (the suspended coroutine's frame) and
+/// carries its own `next` link, so appending and popping never allocate.
+/// Wake order == await order, which keeps equal-timestamp scheduling
+/// deterministic.
+template <class W>
+struct WaitList {
+  W* head = nullptr;
+  W* tail = nullptr;
+  bool empty() const { return head == nullptr; }
+  void push_back(W* w) {
+    w->next = nullptr;
+    if (tail) tail->next = w;
+    else head = w;
+    tail = w;
+  }
+  W* pop_front() {
+    W* w = head;
+    if (w) {
+      head = w->next;
+      if (!head) tail = nullptr;
+    }
+    return w;
+  }
+};
+
 class Domain {
  public:
   /// Intrusive registry node for detached (spawned) coroutine frames; lives
@@ -182,12 +209,6 @@ class Domain {
   /// Schedules `fn` after a relative delay.
   void after(TimePs delay, std::function<void()> fn) {
     at(now_ + delay, std::move(fn));
-  }
-
-  /// Schedules a coroutine resumption at absolute time `t` without an
-  /// intrusive node to link (allocates; prefer schedule_resume).
-  void resume_at(TimePs t, std::coroutine_handle<> h) {
-    at(t, [h] { h.resume(); });
   }
 
   /// Starts a coroutine task detached; the frame frees itself on completion

@@ -3,12 +3,11 @@
 // Components record typed events (category + label + two operands) into a
 // bounded ring owned by the Simulator. Tracing is off by default and costs
 // one branch per call site when disabled; enabled categories are selected by
-// bitmask. Dumps are deterministic and diff-friendly, so traces double as
-// golden files in tests.
+// bitmask. Recorded events are deterministic, so traces double as golden
+// data in tests.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <string>
 
@@ -75,29 +74,6 @@ class Tracer {
     std::size_t n = 0;
     for (const TraceEvent& e : events_) n += e.cat == cat ? 1 : 0;
     return n;
-  }
-
-  /// Writes a tab-separated dump (time_us, category, label, a, b).
-  void dump(std::FILE* out) const {
-    for (const TraceEvent& e : events_) {
-      std::fprintf(out, "%.3f\t%s\t%s\t%llu\t%llu\n", to_us(e.t),
-                   cat_name(e.cat), e.label,
-                   static_cast<unsigned long long>(e.a),
-                   static_cast<unsigned long long>(e.b));
-    }
-  }
-
-  static const char* cat_name(TraceCat cat) {
-    switch (cat) {
-      case TraceCat::kNvmeSubmit: return "nvme-submit";
-      case TraceCat::kNvmeComplete: return "nvme-complete";
-      case TraceCat::kStreamerCmd: return "streamer-cmd";
-      case TraceCat::kStreamerRetire: return "streamer-retire";
-      case TraceCat::kEth: return "eth";
-      case TraceCat::kUser: return "user";
-      case TraceCat::kAll: break;
-    }
-    return "?";
   }
 
  private:

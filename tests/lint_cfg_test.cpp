@@ -1,8 +1,7 @@
-// Golden block/edge-structure tests for the lint CFG builder and the
-// forward-dataflow solver it feeds: branch diamonds, loop back edges,
-// switch fallthrough, early co_return, continue-in-loop, constant loops
-// without exit edges, suspension block splits, and fixed-point iteration
-// around cycles.
+// Golden block/edge-structure tests for the lint CFG builder the
+// path-sensitive rules run on: branch diamonds, loop back edges, switch
+// fallthrough, early co_return, continue-in-loop, constant loops without
+// exit edges, and suspension block splits.
 #include <memory>
 #include <string>
 #include <string_view>
@@ -10,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "lint/cfg.hpp"
-#include "lint/dataflow.hpp"
 #include "lint/scope.hpp"
 #include "lint/source.hpp"
 
@@ -251,67 +249,6 @@ TEST(LintCfg, CacheBuildsOnceAndIsStable) {
   const lint::Cfg* first = &cache.get(0);
   EXPECT_EQ(first, &cache.get(0)) << "same object on repeat lookup";
   EXPECT_NE(first, &cache.get(1));
-}
-
-// ---------------------------------------------------------------------------
-// ForwardMay on real CFGs.
-
-TEST(LintDataflow, BranchMayMerge) {
-  const auto b = build(
-      "void f(int x) {\n"
-      "  if (x) {\n"
-      "    gen_here();\n"
-      "  } else {\n"
-      "    kill_here();\n"
-      "  }\n"
-      "  join_stmt();\n"
-      "}\n");
-  lint::ForwardMay df(b.cfg, 1);
-  df.add_gen(block_of(b, "gen_here"), 0);
-  df.add_kill(block_of(b, "kill_here"), 0);
-  df.solve();
-  EXPECT_TRUE(df.in(block_of(b, "join_stmt"), 0)) << "may-facts merge by union";
-  EXPECT_TRUE(df.in(b.cfg.exit, 0));
-  const auto path = df.live_path(b.cfg.exit, 0);
-  ASSERT_GE(path.size(), 2u);
-  EXPECT_EQ(path.front(), block_of(b, "gen_here"));
-  EXPECT_EQ(path.back(), b.cfg.exit);
-}
-
-TEST(LintDataflow, LoopFixedPointCarriesAroundBackEdge) {
-  const auto b = build(
-      "void f(int n) {\n"
-      "  while (cond(n)) {\n"
-      "    body_stmt();\n"
-      "  }\n"
-      "  tail_stmt();\n"
-      "}\n");
-  const int body = block_of(b, "body_stmt");
-  const int hdr = block_of(b, "cond");
-  lint::ForwardMay df(b.cfg, 1);
-  df.add_gen(body, 0);
-  df.solve();
-  EXPECT_TRUE(df.in(hdr, 0)) << "fact flows around the back edge";
-  EXPECT_TRUE(df.in(body, 0)) << "and back into the body";
-  EXPECT_TRUE(df.in(b.cfg.exit, 0));
-}
-
-TEST(LintDataflow, KillOnEveryExitPathClearsExit) {
-  const auto b = build(
-      "void f(int x) {\n"
-      "  gen_here();\n"
-      "  if (x) {\n"
-      "    kill_a();\n"
-      "    return;\n"
-      "  }\n"
-      "  kill_b();\n"
-      "}\n");
-  lint::ForwardMay df(b.cfg, 1);
-  df.add_gen(block_of(b, "gen_here"), 0);
-  df.add_kill(block_of(b, "kill_a"), 0);
-  df.add_kill(block_of(b, "kill_b"), 0);
-  df.solve();
-  EXPECT_FALSE(df.in(b.cfg.exit, 0)) << "both exit paths kill the fact";
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// use-after-move fixture: a moved-from Payload/Chunk local must not be
-// read on any path before reassignment. The rule tracks bare value
-// declarations only, and a read in the same statement as the move (the
-// other arm of a conditional operator) stays silent by design. Fixtures
-// are scanned, not compiled.
+// use-after-move fixture: a moved-from Payload/Chunk must not be read on
+// any path before reassignment. A read in the same statement as the move
+// (the other arm of a conditional operator) stays silent by design, and a
+// helper's move of its own by-value copy does not reach the caller.
+// Fixtures are scanned, not compiled.
 namespace fix {
 
 // POSITIVE: moved on the fast path, read unconditionally afterwards.
@@ -73,6 +73,16 @@ sim::Task double_move(bool a) {
   } else {
     co_await sink(std::move(p));
   }
+}
+
+// NEGATIVE (near-miss): the helper moves from its own by-value copy, so
+// its move does not lift into the caller, whose payload stays live.
+void consume_copy(Payload copy) { stash(std::move(copy)); }
+
+sim::Task by_value_helper() {
+  Payload p = make();
+  consume_copy(p);
+  use(p);
 }
 
 }  // namespace fix

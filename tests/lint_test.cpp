@@ -199,7 +199,8 @@ TEST(LintFixtures, NearMissesStaySilent) {
   // handoff (gated), while(true) pump with cross-iteration re-acquire.
   EXPECT_EQ(count(fs, "src/resource_pair.cpp", "resource-pairing"), 3u);
   // use-after-move near-misses: reassignment, same-statement ternary arms,
-  // member move, per-iteration redeclaration, move-of-moved transfer.
+  // member move, per-iteration redeclaration, move-of-moved transfer, and
+  // a helper moving its own by-value copy.
   EXPECT_EQ(count(fs, "src/use_move.cpp", "use-after-move"), 3u);
   // unchecked-status-path near-misses: immediate check, both-branch check,
   // non-PutStatus out-param, fill-in-loop-check-after.
@@ -431,18 +432,18 @@ TEST(LintSarif, CodeFlowsShape) {
   // interprocedural (summary-driven) variants.
   for (const lint::Finding& f : res.findings) {
     const bool ts_rule = f.rule.rfind("ts-", 0) == 0 ||
+                         f.rule == "use-after-move" ||
                          f.rule == "resource-pairing" ||
                          f.rule == "unchecked-status-path";
-    const bool flow_rule = f.rule == "use-after-move" || ts_rule;
     const bool path_optional =
         f.rule == "cross-domain-touch" || f.rule == "discarded-async";
     if (!path_optional) {
-      EXPECT_EQ(!f.path.empty(), flow_rule)
+      EXPECT_EQ(!f.path.empty(), ts_rule)
           << f.rule << " at " << f.file << ":" << f.line;
     }
     if (f.path.empty()) continue;
     // The interprocedural token rules anchor at the path's source (the
-    // call); use-after-move and the typestate error rows anchor at their
+    // call); typestate error rows such as use-after-move anchor at their
     // sink (the read / the illegal event). Typestate obligations
     // (resource-pairing, unchecked-status-path, ts-kv-wal) anchor mid-path
     // (the last event before the exit or parking step), so only the

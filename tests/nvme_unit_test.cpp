@@ -120,17 +120,12 @@ TEST(Prp, WalkerDirectEntries) {
     return p.future();
   });
   std::vector<BusAddr> pages;
-  auto t = [&]() -> sim::Task {
-    co_await walker.walk(BusAddr{0xA000}, BusAddr{}, Bytes{kPageSize},
-                         &pages == nullptr ? pages : pages);
-  };
   // walk with one page
   auto one = [&]() -> sim::Task { co_await walker.walk(BusAddr{0xA000}, BusAddr{}, Bytes{100}, pages); };
   sim.spawn(one());
   sim.run();
   ASSERT_EQ(pages.size(), 1u);
   EXPECT_EQ(pages[0].value(), 0xA000u);
-  (void)t;
 
   auto two = [&]() -> sim::Task {
     co_await walker.walk(BusAddr{0xA000}, BusAddr{0xB000}, Bytes{2 * kPageSize},

@@ -1,6 +1,8 @@
 // Unit tests for the PCIe fabric: routing, BAR mapping, read/write data
 // integrity, link-bandwidth conservation, latency selection (host vs P2P),
 // IOMMU enforcement and traffic accounting.
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "common/calibration.hpp"
@@ -194,6 +196,23 @@ TEST_F(Fixture, KindAtReportsWindowKind) {
   EXPECT_EQ(fabric.kind_at(Addr{0x7777'0000'0000}), MemKind::kDevice);
   EXPECT_EQ(fabric.owner_at(Addr{0x100}), root);
   EXPECT_EQ(fabric.owner_at(Addr{0x1000'0000}), dev);
+}
+
+TEST_F(Fixture, OverlappingMapIsRejected) {
+  HostMemory extra(sim, 1 * MiB);
+  // Straddles the start of the device window, sits inside it, and
+  // straddles its end.
+  EXPECT_THROW(fabric.map(Addr{0x0FFF'0000}, Bytes{1 * MiB}, &extra, peer),
+               std::invalid_argument);
+  EXPECT_THROW(fabric.map(Addr{0x1010'0000}, Bytes{1 * MiB}, &extra, peer),
+               std::invalid_argument);
+  EXPECT_THROW(fabric.map(Addr{0x1000'0000 + 16 * MiB - 1}, Bytes{1 * MiB},
+                          &extra, peer),
+               std::invalid_argument);
+  EXPECT_EQ(fabric.owner_at(Addr{0x1010'0000}), dev);
+  // Adjacent windows touch but do not overlap.
+  fabric.map(Addr{0x1000'0000 + 16 * MiB}, Bytes{1 * MiB}, &extra, peer);
+  EXPECT_EQ(fabric.owner_at(Addr{0x1000'0000 + 16 * MiB}), peer);
 }
 
 TEST_F(Fixture, UnmapRemovesWindow) {

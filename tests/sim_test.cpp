@@ -267,7 +267,9 @@ TEST(Channel, SharedOwnershipSurvivesBackpressuredPush) {
     while (auto msg = co_await ch.pop()) {
       co_await sim.delay(us(1));
       EXPECT_TRUE(msg->p != nullptr);
-      if (msg->p) EXPECT_EQ(*msg->p, received);
+      if (msg->p) {
+        EXPECT_EQ(*msg->p, received);
+      }
       ++received;
     }
   };

@@ -199,6 +199,9 @@ TEST_P(StreamerFixture, SequentialWriteBandwidthMatchesVariant) {
     case Variant::kOnboardDram:
       EXPECT_NEAR(gbs, 4.80, 0.45);
       break;
+    case Variant::kHbm:
+      ADD_FAILURE() << "no Fig. 4a target for the HBM extension";
+      break;
   }
 }
 
@@ -448,6 +451,8 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, StreamerFixture,
                                return "OnboardDram";
                              case Variant::kHostDram:
                                return "HostDram";
+                             case Variant::kHbm:
+                               return "Hbm";
                            }
                            return "Unknown";
                          });

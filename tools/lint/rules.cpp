@@ -614,11 +614,10 @@ class CrossDomainTouch final : public Rule {
 
 }  // namespace
 
-// Defined in rules_coro.cpp / rule_value_escape.cpp / rules_flow.cpp.
+// Defined in rules_coro.cpp / rule_value_escape.cpp.
 std::unique_ptr<Rule> make_dangling_capture();
 std::unique_ptr<Rule> make_discarded_async();
 std::unique_ptr<Rule> make_value_escape();
-std::unique_ptr<Rule> make_use_after_move();
 
 const std::vector<std::unique_ptr<Rule>>& all_rules() {
   static const std::vector<std::unique_ptr<Rule>> kRules = [] {
@@ -633,7 +632,6 @@ const std::vector<std::unique_ptr<Rule>>& all_rules() {
     r.push_back(make_dangling_capture());
     r.push_back(make_discarded_async());
     r.push_back(make_value_escape());
-    r.push_back(make_use_after_move());
     for (auto& ts : make_typestate_rules()) r.push_back(std::move(ts));
     return r;
   }();

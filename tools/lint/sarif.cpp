@@ -54,7 +54,7 @@ std::string to_sarif(const std::vector<Finding>& findings,
          "      \"tool\": {\n"
          "        \"driver\": {\n"
          "          \"name\": \"snacc-lint\",\n"
-         "          \"version\": \"7.0.0\",\n"
+         "          \"version\": \"8.0.0\",\n"
          "          \"informationUri\": "
          "\"https://example.invalid/snacc/docs/STATIC_ANALYSIS.md\",\n"
          "          \"rules\": [\n";

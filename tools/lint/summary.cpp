@@ -52,7 +52,7 @@ const EventIndex& event_index() {
   return kIndex;
 }
 
-enum Form { kDeclare, kFill, kWrite, kCheck };
+enum Form { kDeclare, kFill, kWrite, kMove, kCheck };
 
 /// A direct event; for a plain-use form inside an argument of a resolved
 /// call, also that argument -- a callee effect on it replaces the event.
@@ -68,17 +68,22 @@ struct FuncEvents {
   std::vector<std::vector<DirectEvent>> blocks;
   std::vector<const CallSite*> calls;  ///< resolved call sites
   std::vector<std::size_t> call_block;  ///< parallel to `calls`
-  std::set<std::string_view> locals;    ///< typed objects declared in the body
+  /// Typed objects the function owns: body locals and by-value parameters.
+  /// Their events never lift into callers' summaries.
+  std::set<std::string_view> owned;
 };
 
 /// Collects identifiers declared in [lo, hi) with a tracked type name:
 /// `TypeName [<...>] [&|&&|*]* name` followed by a declarator terminator.
 /// Handles both parameter lists (`sim::Mailbox<int>& mb,`) and body-local
 /// declarations (`KvStore store(dev);`), whose name tokens land in `decls`.
+/// Objects the function owns -- body locals (`decls` non-null) and
+/// parameters taken by value (no `&`, `&&` or `*`) -- land in `owned`.
 void collect_typed(const std::vector<Token>& toks, std::size_t lo,
                    std::size_t hi, std::uint32_t sel,
                    std::map<std::string_view, std::uint32_t>* typed,
-                   std::set<std::size_t>* decls) {
+                   std::set<std::size_t>* decls,
+                   std::set<std::string_view>* owned) {
   const auto& types = event_index().types;
   hi = std::min(hi, toks.size());
   for (std::size_t i = lo; i < hi; ++i) {
@@ -98,6 +103,7 @@ void collect_typed(const std::vector<Token>& toks, std::size_t lo,
       }
       if (depth > 0) continue;
     }
+    const std::size_t type_end = j;
     while (j < hi && (toks[j].is("&") || toks[j].is("&&") || toks[j].is("*")))
       ++j;
     if (j >= hi || toks[j].kind != Tok::kIdent) continue;
@@ -106,6 +112,7 @@ void collect_typed(const std::vector<Token>& toks, std::size_t lo,
          toks[j + 1].is("(") || toks[j + 1].is(",") || toks[j + 1].is(")"))) {
       (*typed)[toks[j].text] |= t->second & sel;
       if (decls != nullptr) decls->insert(j);
+      if (decls != nullptr || j == type_end) owned->insert(toks[j].text);
     }
   }
 }
@@ -139,10 +146,10 @@ FuncEvents direct_ts_events(const std::vector<Token>& toks,
   std::set<std::size_t> decls;
   if (f.param_open != SIZE_MAX && f.param_close != SIZE_MAX) {
     collect_typed(toks, f.param_open + 1, f.param_close + 1, sel, &typed,
-                  nullptr);
+                  nullptr, &fe.owned);
   }
-  collect_typed(toks, f.body_begin + 1, f.body_end, sel, &typed, &decls);
-  for (const std::size_t d : decls) fe.locals.insert(toks[d].text);
+  collect_typed(toks, f.body_begin + 1, f.body_end, sel, &typed, &decls,
+                &fe.owned);
 
   std::map<std::string_view, std::uint32_t> tracked_memo;
   const auto tracked = [&](std::string_view recv) {
@@ -173,6 +180,10 @@ FuncEvents direct_ts_events(const std::vector<Token>& toks,
     for (const auto& [name, m] : typed) typed_forms |= m;
     form_sel &= typed_forms;
   }
+  bool moves = false;  // some selected table observes `move`
+  for (std::size_t p = 0; p < protos.size(); ++p) {
+    moves |= (form_sel & bit(p)) != 0 && idx.forms[p][kMove] >= 0;
+  }
   const auto enclosing_arg = [&](std::size_t i, std::string_view recv)
       -> std::pair<const CallSite*, int> {
     for (const CallSite* s : fe.calls) {
@@ -187,11 +198,25 @@ FuncEvents direct_ts_events(const std::vector<Token>& toks,
   };
 
   const auto nested = child_ranges(scopes, func_idx);
+  // Statement ordinal within the block of each object's last `move`, so a
+  // read in the same statement (the other arm of `c ? std::move(p) : p`)
+  // is not taken for a read after the move. Counted only when `moves`.
+  std::map<std::string_view, int> move_stmt;
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
     const CfgBlock& blk = cfg.blocks[b];
     const std::size_t hi = std::min(blk.end, toks.size());
+    move_stmt.clear();
+    int depth = 0;
+    int stmt = 0;
     for (std::size_t i = blk.begin; i < hi; ++i) {
-      if (toks[i].kind != Tok::kIdent || in_ranges(nested, i)) continue;
+      const Token& t = toks[i];
+      if (moves && t.kind == Tok::kPunct && !in_ranges(nested, i)) {
+        if (t.is("(") || t.is("[") || t.is("{")) ++depth;
+        else if (t.is(")") || t.is("]") || t.is("}")) --depth;
+        else if (t.is(";") && depth <= 0) ++stmt;
+        continue;
+      }
+      if (t.kind != Tok::kIdent || in_ranges(nested, i)) continue;
       const std::string_view recv = toks[i].text;
       std::uint32_t done = 0;
       if (i + 3 < toks.size() &&
@@ -221,13 +246,23 @@ FuncEvents direct_ts_events(const std::vector<Token>& toks,
         form = kFill;
       } else if (i + 1 < toks.size() && toks[i + 1].is("=")) {
         form = kWrite;
+      } else if (i >= 4 && toks[i - 1].is("(") && toks[i - 2].ident("move") &&
+                 toks[i - 3].is("::") && toks[i - 4].ident("std") &&
+                 i + 1 < toks.size() && toks[i + 1].is(")")) {
+        form = kMove;
+        move_stmt[recv] = stmt;
       }
+      const auto ms = move_stmt.find(recv);
+      const bool read_in_move_stmt =
+          form == kCheck && ms != move_stmt.end() && ms->second == stmt;
       const auto [site, arg] =
-          form == kDeclare ? std::pair<const CallSite*, int>{nullptr, -1}
-                           : enclosing_arg(i, recv);
+          form == kDeclare || form == kMove
+              ? std::pair<const CallSite*, int>{nullptr, -1}
+              : enclosing_arg(i, recv);
       for (std::size_t p = 0; p < protos.size(); ++p) {
         const int e = idx.forms[p][form];
         if ((m & bit(p)) == 0 || e < 0) continue;
+        if (read_in_move_stmt && idx.forms[p][kMove] >= 0) continue;
         fe.blocks[b].push_back(
             {{p, e, std::string(recv), toks[i].line, i, -1, 0}, site, arg});
       }
@@ -340,11 +375,12 @@ constexpr std::size_t kMaxProtocolEvents = 8;
 
 /// Folds per-block typestate events into ProtocolEffects, ordered by
 /// (protocol, receiver): one per key whose events all sit in mandatory
-/// acyclic blocks (fixed order), capped, and not a body-local object.
+/// acyclic blocks (fixed order), capped, and not an object the function
+/// owns (a body local or a by-value parameter).
 std::vector<ProtocolEffect> effects_from_ts_events(
     const std::vector<bool>& mand,
     const std::vector<std::vector<TsEventRef>>& evs, const FuncScope& f,
-    bool params_reliable, const std::set<std::string_view>& locals) {
+    bool params_reliable, const std::set<std::string_view>& owned) {
   using Key = std::pair<std::size_t, std::string_view>;
   std::map<Key, std::vector<const TsEventRef*>> by_key;
   std::set<Key> opaque;
@@ -359,7 +395,7 @@ std::vector<ProtocolEffect> effects_from_ts_events(
   }
   std::vector<ProtocolEffect> out;
   for (auto& [key, refs] : by_key) {
-    if (opaque.count(key) != 0 || locals.count(key.second) != 0 ||
+    if (opaque.count(key) != 0 || owned.count(key.second) != 0 ||
         refs.size() > kMaxProtocolEvents) {
       continue;
     }
@@ -411,7 +447,7 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-constexpr std::string_view kCacheMagic = "snacc-lint-cache v3";
+constexpr std::string_view kCacheMagic = "snacc-lint-cache v4";
 
 bool load_cache(const std::string& path,
                 const std::vector<const SourceFile*>& files,
@@ -686,7 +722,7 @@ ProgramInfo build_program(const std::vector<const SourceFile*>& files,
         }
         effects = effects_from_ts_events(
             mand[d], evs, scopes[fi].funcs[static_cast<std::size_t>(fd.func)],
-            fd.params_reliable, fe.locals);
+            fd.params_reliable, fe.owned);
       }
       if (!same_protocol_effects(effects, prog.summaries[d].protocols)) {
         prog.summaries[d].protocols = std::move(effects);

@@ -47,7 +47,8 @@ struct ParamEffect {
 /// entry-to-exit path and in no cycle, so the order is fixed and a caller
 /// can splice the sequence in at the call site. Anything conditional,
 /// looped, or longer than a small cap makes the whole key opaque, and
-/// objects declared inside the function never escape into its summary.
+/// objects the function owns (declared inside it, or parameters taken by
+/// value) never escape into its summary.
 struct ProtocolEffect {
   std::size_t protocol = 0;  ///< typestate_protocols() index
   /// Receiver is the function's parameter #recv_param; -1 for a named

@@ -55,7 +55,8 @@ std::string event_text(const TsProtocol& p, int event, const std::string& obj) {
   if (ev == kTsFormEvents[0]) return "'" + obj + "' declared";
   if (ev == kTsFormEvents[1]) return "'&" + obj + "' passed to a call";
   if (ev == kTsFormEvents[2]) return "'" + obj + "' written";
-  if (ev == kTsFormEvents[3]) return "'" + obj + "' read";
+  if (ev == kTsFormEvents[3]) return "'std::move(" + obj + ")'";
+  if (ev == kTsFormEvents[4]) return "'" + obj + "' read";
   return "'" + obj + "." + std::string(ev) + "()'";
 }
 
@@ -291,6 +292,32 @@ class TypestateRule final : public Rule {
 const std::vector<TsProtocol>& typestate_protocols() {
   static const std::vector<TsProtocol> kProtocols = [] {
     std::vector<TsProtocol> ps;
+
+    {
+      // Zero-copy payload hand-off (PAPER.md Sec. 4): stages pass
+      // Payload/Chunk values on with std::move, which leaves the source
+      // empty. A read before the object is written or redeclared sees that
+      // empty value. A second move is a transfer, not a read.
+      TsProtocol p;
+      p.rule_name = "use-after-move";
+      p.description =
+          "moved-from Payload/Chunk read on some path before reassignment";
+      enum { kLive, kMoved };
+      enum { kDeclare, kFill, kWrite, kMove, kCheck };
+      p.states = {"live", "moved"};
+      p.events = {"declare", "fill", "write", "move", "check"};
+      p.type_names = {"Payload", "Chunk"};
+      p.transitions = {{kLive, kMove, kMoved},
+                       {kMoved, kDeclare, kLive},
+                       {kMoved, kFill, kLive},
+                       {kMoved, kWrite, kLive}};
+      p.errors = {
+          {kMoved, kCheck, -1,
+           "a moved-from payload is empty; reassign before reading or "
+           "restructure the branch"},
+      };
+      ps.push_back(std::move(p));
+    }
 
     {
       // sim::Mailbox producer/consumer shutdown ordering (docs/MODEL.md

@@ -48,11 +48,15 @@ namespace lint {
 ///   declare  `x`'s declaration in the function body
 ///   fill     `&x` passed as a call argument
 ///   write    `x = ...` or `*x = ...`
-///   check    any other plain read of `x`
+///   move     `std::move(x)`
+///   check    any other plain read of `x`; a read in the same statement
+///            after a `move` of `x` is not one (only one arm of a
+///            conditional operator runs)
 /// When a resolved callee has a protocol effect on the argument `x` is
-/// passed as, the spliced effect replaces these forms at that argument.
-inline constexpr std::array<std::string_view, 4> kTsFormEvents = {
-    "declare", "fill", "write", "check"};
+/// passed as, the spliced effect replaces these forms at that argument --
+/// except `move`, which stays as written.
+inline constexpr std::array<std::string_view, 5> kTsFormEvents = {
+    "declare", "fill", "write", "move", "check"};
 
 /// `from` --event--> `to`. Unlisted (state, event) pairs stay put.
 struct TsTransition {
