@@ -1,5 +1,6 @@
 // Microbenchmark for the discrete-event kernel itself: raw event
-// throughput, channel hand-off rate, and future completion rate.
+// throughput, channel hand-off rate, future completion rate, and the grant
+// rate of a rate server with thousands of queued acquirers.
 //
 // Unlike the paper-figure benches (which report *simulated* time), this one
 // deliberately measures *wall-clock* throughput of the simulator -- it
@@ -31,6 +32,7 @@
 #include "sim/cluster.hpp"
 #include "sim/future.hpp"
 #include "sim/mailbox.hpp"
+#include "sim/rate_server.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
@@ -194,6 +196,34 @@ double bench_futures(std::uint64_t* out_futures) {
   return static_cast<double>(kCalls) / dt;
 }
 
+// --------------------------------------------------------------------------
+// Rate-server queueing: thousands of coroutines acquire one link at once,
+// round after round -- the shape of SSD page fetches queued behind one PCIe
+// link in the Fig. 6 ingest path, where the queue, not the event count,
+// sets the scheduler's cost.
+
+sim::Task link_user(sim::RateServer* link, int rounds) {
+  for (int i = 0; i < rounds; ++i) co_await link->acquire(4096);
+}
+
+double bench_rate_server(std::uint64_t* out_grants) {
+  constexpr int kTasks = 4096;
+  constexpr int kRounds = 64;
+  sim::Simulator sim;
+  sim::RateServer link(sim, 8.0);
+  for (int t = 0; t < kTasks; ++t) sim.spawn(link_user(&link, kRounds));
+  // snacc-lint: allow(nondeterminism): wall-clock is the measurement here
+  const auto t0 = std::chrono::steady_clock::now();
+  sim.run();
+  const double dt = seconds_since(t0);
+  if (link.total_ops() != std::uint64_t{kTasks} * kRounds) {
+    std::fprintf(stderr, "rate server bench grant count mismatch\n");
+    std::exit(1);
+  }
+  *out_grants = link.total_ops();
+  return static_cast<double>(link.total_ops()) / dt;
+}
+
 }  // namespace
 }  // namespace snacc::bench
 
@@ -210,8 +240,8 @@ int main(int argc, char** argv) {
 
   // Best-of-3: each workload is deterministic, so runs differ only by OS
   // noise and the fastest run is the least-perturbed estimate.
-  std::uint64_t events = 0, handoffs = 0, futures = 0;
-  double eps = 0.0, hps = 0.0, fps = 0.0;
+  std::uint64_t events = 0, handoffs = 0, futures = 0, grants = 0;
+  double eps = 0.0, hps = 0.0, fps = 0.0, gps = 0.0;
   const std::uint32_t kDomainSweep[] = {1, 2, 4};
   std::uint64_t dom_events[3] = {};
   double dom_eps[3] = {};
@@ -219,6 +249,7 @@ int main(int argc, char** argv) {
     eps = std::max(eps, bench_events(&events));
     hps = std::max(hps, bench_channel(&handoffs));
     fps = std::max(fps, bench_futures(&futures));
+    gps = std::max(gps, bench_rate_server(&grants));
     for (int i = 0; i < 3; ++i) {
       dom_eps[i] = std::max(
           dom_eps[i], bench_events_domains(kDomainSweep[i], &dom_events[i]));
@@ -230,6 +261,8 @@ int main(int argc, char** argv) {
               hps);
   std::printf("  futures       %12" PRIu64 "   %12.0f futures/s\n", futures,
               fps);
+  std::printf("  rs grants     %12" PRIu64 "   %12.0f grants/s\n", grants,
+              gps);
   for (int i = 0; i < 3; ++i) {
     std::printf("  events (%u dom)%12" PRIu64 "   %12.0f events/s\n",
                 kDomainSweep[i], dom_events[i], dom_eps[i]);
@@ -241,6 +274,7 @@ int main(int argc, char** argv) {
   rep.metric("events_per_sec", eps);
   rep.metric("channel_handoffs_per_sec", hps);
   rep.metric("futures_per_sec", fps);
+  rep.metric("rate_server_grants_per_sec", gps);
   for (int i = 0; i < 3; ++i) {
     rep.metric("events_per_sec_domains_" + std::to_string(kDomainSweep[i]),
                dom_eps[i]);

@@ -32,7 +32,8 @@ namespace snacc::eth {
 /// receiver's domain after the propagation delay. Ethernet wires are the
 /// intended place to cut a topology into domains because their physical
 /// latency is the conservative lookahead the cluster scheduler needs
-/// (sim/cluster.hpp) -- lookahead() exposes it.
+/// (sim/cluster.hpp) -- the cross-domain constructor hands it to the
+/// Mailbox as the edge latency.
 class Wire {
  public:
   Wire(sim::Simulator& sim, const EthProfile& profile)
@@ -62,9 +63,6 @@ class Wire {
   sim::Channel<Frame>& delivered() { return frames_; }
   std::uint64_t bytes_on_wire() const { return server_.total_bytes(); }
 
-  /// Propagation delay == conservative lookahead when this wire spans two
-  /// domains.
-  TimePs lookahead() const { return latency_; }
   bool crosses_domains() const { return mailbox_ != nullptr; }
 
  private:

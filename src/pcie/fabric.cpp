@@ -66,12 +66,13 @@ void Fabric::degrade_link(PortId p, double factor, TimePs duration) {
   Port& port = *ports_.at(static_cast<std::size_t>(p));
   port.tx.set_rate(port.base_gb_s * factor);
   port.rx.set_rate(port.base_gb_s * factor);
-  sim_.spawn(restore_link(p, sim_.now() + duration));
+  sim_.spawn(restore_link(p, sim_.now() + duration, ++port.degrade_gen));
 }
 
-sim::Task Fabric::restore_link(PortId p, TimePs at) {
+sim::Task Fabric::restore_link(PortId p, TimePs at, std::uint64_t gen) {
   co_await sim_.delay_until(at);
   Port& port = *ports_.at(static_cast<std::size_t>(p));
+  if (port.degrade_gen != gen) co_return;  // a newer window owns the rate
   port.tx.set_rate(port.base_gb_s);
   port.rx.set_rate(port.base_gb_s);
 }

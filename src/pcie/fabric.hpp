@@ -144,15 +144,6 @@ class Fabric {
   const PcieProfile& profile() const { return profile_; }
   sim::Simulator& simulator() { return sim_; }
 
-  /// Smallest latency any transaction pays to cross the fabric -- what this
-  /// link would contribute as conservative lookahead if it were a domain
-  /// boundary. It is NOT one today: fabric transactions touch target memory
-  /// through synchronous calls (an SSD DMA writes host DRAM directly), so
-  /// everything on one fabric must share one event domain and clusters cut
-  /// at the Ethernet wires instead (see docs/MODEL.md, "Domains &
-  /// conservative sync").
-  TimePs lookahead() const { return profile_.posted_write_latency; }
-
   const PathStats& path(PortId src, PortId dst) const;
   std::uint64_t total_bytes() const;
   std::uint64_t unmapped_errors() const { return unmapped_errors_; }
@@ -176,8 +167,9 @@ class Fabric {
   std::uint64_t injected_timeouts() const { return read_loss_.fired(); }
 
   /// Opens a link-degradation window: both directions of `p` run at
-  /// `factor` of nominal rate for `duration`, then recover. Overlapping
-  /// windows simply extend/override each other (last restore wins).
+  /// `factor` of nominal rate for `duration`, then recover. The newest
+  /// window on a port overrides any older one: its factor applies until its
+  /// own end, and the restores of older windows no longer fire.
   void degrade_link(PortId p, double factor, TimePs duration);
 
   /// Round-trip read latency from `src` to the port owning `addr`
@@ -190,6 +182,7 @@ class Fabric {
     sim::RateServer tx;
     sim::RateServer rx;
     double base_gb_s = 0.0;  // nominal rate, restored after degradation
+    std::uint64_t degrade_gen = 0;  // degrade_link windows opened so far
   };
   struct Window {
     Addr base;
@@ -205,7 +198,7 @@ class Fabric {
                     sim::Promise<ReadResult> done);
   sim::Task do_write(PortId src, Addr addr, Payload data,
                      sim::Promise<sim::Done> done);
-  sim::Task restore_link(PortId p, TimePs at);
+  sim::Task restore_link(PortId p, TimePs at, std::uint64_t gen);
   PathStats& path_mut(PortId src, PortId dst);
   void record_fault(FaultKind kind, PortId initiator, Addr addr, Bytes len);
 

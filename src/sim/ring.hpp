@@ -1,5 +1,6 @@
 // Growable FIFO ring buffer over raw storage -- the value store behind
-// Channel<T> (items in flight, claimed hand-offs, parked producer values).
+// Channel<T> (items in flight, claimed hand-offs, parked producer values)
+// and RateServer's parked-waiter queue.
 //
 // Properties the channel relies on:
 //   * amortized allocation-free: capacity only ever grows (power of two),
@@ -25,6 +26,13 @@ class RingBuf {
   RingBuf() = default;
   RingBuf(const RingBuf&) = delete;
   RingBuf& operator=(const RingBuf&) = delete;
+  /// Takes over `o`'s storage and leaves it empty (owners that are moved,
+  /// such as a RateServer inside pcie::Fabric's Port, move their rings).
+  RingBuf(RingBuf&& o) noexcept
+      : data_(std::exchange(o.data_, nullptr)),
+        head_(std::exchange(o.head_, 0)),
+        size_(std::exchange(o.size_, 0)),
+        cap_(std::exchange(o.cap_, 0)) {}
 
   ~RingBuf() {
     clear();
@@ -43,6 +51,11 @@ class RingBuf {
   T& front() {
     assert(size_ > 0);
     return *std::launder(slot(head_));
+  }
+
+  T& back() {
+    assert(size_ > 0);
+    return *std::launder(slot(head_ + size_ - 1));
   }
 
   T pop_front() {

@@ -17,9 +17,11 @@
 // suspension primitive (delay, channel hand-off, future completion, rate
 // server, spawn) embeds an EventNode in its awaiter or promise object --
 // which lives in the suspended coroutine's frame -- and links that node into
-// the scheduler directly. The heap itself stores (time, seq, node*) entries
-// by value in a flat vector, so scheduling N simultaneous events costs zero
-// heap allocations in steady state and comparisons never chase pointers.
+// the scheduler directly (a rate server links only the head of its queue;
+// the waiters behind it wait in the server's own FIFO). The heap itself
+// stores (time, seq, node*) entries by value in a flat vector, so
+// scheduling N simultaneous events costs zero heap allocations in steady
+// state and comparisons never chase pointers.
 // The legacy `at(t, fn)` closure API remains for tests and cold setup code
 // (it heap-allocates a self-owning node); tools/snacc-lint's `lambda-event`
 // rule keeps it out of src/ hot paths. docs/MODEL.md ("Scheduler
@@ -168,8 +170,22 @@ class Domain {
   /// keeps ownership; `n` must outlive the firing. Equal-timestamp events
   /// fire in schedule-call order (a per-simulator sequence number breaks
   /// ties), which is the determinism guarantee every model relies on.
-  void schedule(EventNode& n, TimePs t) {
+  void schedule(EventNode& n, TimePs t) { schedule_seq(n, t, seq_++); }
+
+  /// Reserves the next sequence number without linking anything. A caller
+  /// that holds events back from the heap (RateServer's parked FIFO) takes
+  /// each one's number at the moment schedule() would have, and later links
+  /// the node under it with schedule_seq(), so the event keeps the exact
+  /// (time, seq) key -- and therefore the exact firing order -- it would
+  /// have had if it had been linked right away.
+  std::uint64_t take_seq() { return seq_++; }
+
+  /// Links `n` to fire at `(t, seq)`, where `seq` came from take_seq(). The
+  /// caller guarantees that no event with a larger key has fired yet
+  /// (linking at the latest when an event with a smaller key fires).
+  void schedule_seq(EventNode& n, TimePs t, std::uint64_t seq) {
     assert(t >= now_);
+    assert(seq < seq_);
     assert(!n.linked);
 #ifndef NDEBUG
     assert((n.debug_owner == nullptr || n.debug_owner == this) &&
@@ -178,7 +194,7 @@ class Domain {
     n.debug_owner = this;
 #endif
     n.linked = true;
-    heap_push(HeapEntry{t, seq_++, &n});
+    heap_push(HeapEntry{t, seq, &n});
   }
 
   /// Links `n` to resume coroutine `h` at absolute time `t`.
@@ -307,7 +323,9 @@ class Domain {
 
   /// Unlinks a scheduled node without firing it (no-op when not linked).
   /// O(pending) -- teardown-only, used by ~Mailbox to withdraw delivery
-  /// nodes whose storage dies before this domain does.
+  /// nodes whose storage dies before this domain does. A RateServer waiter
+  /// parked behind its server's head is not in the heap (not linked), so it
+  /// cannot be cancelled here.
   void cancel(EventNode& n) {
     if (!n.linked) return;
     for (std::size_t i = 0; i < heap_.size(); ++i) {

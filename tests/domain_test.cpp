@@ -315,7 +315,7 @@ TEST(SimCluster, BitIdenticalAcrossThreadCounts) {
 
 #ifndef NDEBUG
 TEST(DomainDeathTest, FrameResumedOnWrongDomainFailsFast) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
         SimCluster cluster(2);

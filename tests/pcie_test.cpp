@@ -190,6 +190,34 @@ TEST_F(Fixture, BulkWritesAreLinkRateLimited) {
   EXPECT_GT(gbs, 11.5);
 }
 
+TEST_F(Fixture, OverlappingDegradeWindowsKeepTheNewestRate) {
+  // Window A (0.5x, 10 us) opens at t=0; window B (0.25x, 100 us) opens at
+  // t=5 us. A's end at t=10 us must not restore the link under B, so a
+  // write from `dev` at t=20 us still serializes at 0.25 x 13 GB/s; after
+  // B ends (t=105 us) the link is back at nominal.
+  fabric.iommu().grant({dev, Addr{}, Bytes{64 * MiB}, true, true});
+  const std::uint64_t bytes = 64 * KiB;
+  TimePs inside_b;
+  TimePs after_b;
+  auto io = [&]() -> sim::Task {
+    fabric.degrade_link(dev, 0.5, us(10));
+    co_await sim.delay(us(5));
+    fabric.degrade_link(dev, 0.25, us(100));
+    co_await sim.delay_until(us(20));
+    TimePs t0 = sim.now();
+    co_await fabric.write(dev, Addr{}, Payload::phantom(bytes));
+    inside_b = sim.now() - t0;
+    co_await sim.delay_until(us(110));
+    t0 = sim.now();
+    co_await fabric.write(dev, Addr{}, Payload::phantom(bytes));
+    after_b = sim.now() - t0;
+  };
+  sim.spawn(io());
+  sim.run();
+  EXPECT_GE(inside_b, transfer_time(bytes, 13.0 * 0.25));
+  EXPECT_LT(after_b, transfer_time(bytes, 13.0 * 0.5));
+}
+
 TEST_F(Fixture, KindAtReportsWindowKind) {
   EXPECT_EQ(fabric.kind_at(Addr{0x100}), MemKind::kHostDram);
   EXPECT_EQ(fabric.kind_at(Addr{0x1000'0000}), MemKind::kFpgaUram);

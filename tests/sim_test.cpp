@@ -499,6 +499,78 @@ TEST(RateServer, ZeroByteAcquireWithoutPerOpCompletesImmediately) {
   EXPECT_EQ(server.total_ops(), 1u);
 }
 
+TEST(RateServer, QueuedWaitersResumeInHeapKeyOrder) {
+  // 64 acquirers queue on one link at t=0, each twice (the second acquire
+  // re-queues behind everyone's first). Every fourth moves zero bytes, so
+  // its grant time equals its predecessor's. Plain delay() timers spawned
+  // before or after an acquirer, and a zero-byte acquire on a per_op
+  // server, land on the same picoseconds as link grants. The expected
+  // order is the one the kernel produced when every waiter was linked into
+  // the heap at its own suspension: by (time, suspension order).
+  Simulator sim;
+  RateServer link(sim, 1.0);          // 1 byte/ns, no per-op cost
+  RateServer cmd(sim, 1.0, ns(100));  // command pipe: per_op only
+  constexpr int kAcquirers = 64;
+  auto bytes = [](int i) -> std::uint64_t {
+    return i % 4 == 1 ? 0 : 100 * (1 + i % 3);
+  };
+  std::vector<TimePs> first(kAcquirers), second(kAcquirers);
+  TimePs t;
+  for (int i = 0; i < kAcquirers; ++i) first[i] = t = t + ns(bytes(i));
+  for (int i = 0; i < kAcquirers; ++i) second[i] = t = t + ns(bytes(i));
+
+  WaitGroup wg(sim);
+  wg.add(kAcquirers);
+  std::vector<int> order;
+  TimePs all_done;
+  auto acquirer = [&](int id) -> Task {
+    co_await link.acquire(bytes(id));
+    order.push_back(id);
+    co_await link.acquire(bytes(id));
+    order.push_back(1000 + id);
+    wg.done();
+  };
+  auto timer = [&](int id, TimePs d) -> Task {
+    co_await sim.delay(d);
+    order.push_back(id);
+  };
+  auto command = [&](int id, TimePs d) -> Task {
+    co_await sim.delay(d);
+    co_await cmd.acquire(0);
+    order.push_back(id);
+  };
+  auto joiner = [&]() -> Task {
+    co_await wg.wait();
+    all_done = sim.now();
+  };
+  sim.spawn(joiner());
+  for (int i = 0; i < kAcquirers; ++i) {
+    if (i % 8 == 0) sim.spawn(timer(2000 + i, first[i]));
+    if (i == 32) sim.spawn(command(3000, first[i] - ns(100)));
+    sim.spawn(acquirer(i));
+    if (i % 8 == 4) sim.spawn(timer(2000 + i, first[i]));
+    if (i % 8 == 6) sim.spawn(timer(2000 + i, second[i]));
+  }
+  sim.run();
+  const std::vector<int> expected = {
+      2000, 0, 1, 2, 3, 4, 2004, 5, 6, 7, 2008, 8, 9, 10, 11, 12, 2012,
+      13, 14, 15, 2016, 16, 17, 18, 19, 20, 2020, 21, 22, 23, 2024, 24,
+      25, 26, 27, 28, 2028, 29, 30, 31, 2032, 32, 33, 3000, 34, 35, 36,
+      2036, 37, 38, 39, 2040, 40, 41, 42, 43, 44, 2044, 45, 46, 47, 2048,
+      48, 49, 50, 51, 52, 2052, 53, 54, 55, 2056, 56, 57, 58, 59, 60,
+      2060, 61, 62, 63, 1000, 1001, 1002, 1003, 1004, 1005, 2006, 1006,
+      1007, 1008, 1009, 1010, 1011, 1012, 1013, 2014, 1014, 1015, 1016,
+      1017, 1018, 1019, 1020, 1021, 2022, 1022, 1023, 1024, 1025, 1026,
+      1027, 1028, 1029, 2030, 1030, 1031, 1032, 1033, 1034, 1035, 1036,
+      1037, 2038, 1038, 1039, 1040, 1041, 1042, 1043, 1044, 1045, 2046,
+      1046, 1047, 1048, 1049, 1050, 1051, 1052, 1053, 2054, 1054, 1055,
+      1056, 1057, 1058, 1059, 1060, 1061, 2062, 1062, 1063};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(all_done, second.back());
+  EXPECT_EQ(all_done, link.busy_until());
+  EXPECT_EQ(link.total_ops(), 2u * kAcquirers);
+}
+
 TEST(RateServer, BusyTimeAndUtilizationAccounting) {
   Simulator sim;
   RateServer server(sim, 1.0, /*per_op=*/ns(100));
