@@ -14,6 +14,9 @@
 //   --qd=<n>                   queue depth / streamer window (default 64)
 //   --ooo                      out-of-order retirement (SNAcc only)
 //   --mode=fast|slow           pin the SSD's program mode (default fast)
+//
+// Exits non-zero if the workload does not finish or any command completes
+// with an error status.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,6 +92,7 @@ bool parse(int argc, char** argv, Options* opt) {
 struct RunStats {
   TimePs elapsed;
   std::uint64_t bytes = 0;
+  std::uint64_t errors = 0;  // commands that completed with an error status
   LatencyStats latency;
 };
 
@@ -148,6 +152,9 @@ sim::Task snacc_run(host::System* sys, core::PeClient* pe, const Options* opt,
     st->bytes += opt->bs;
   }
   st->elapsed = sys->sim().now() - t0;
+  // Recovery is off, so no error completion is retried: the streamer's
+  // error count is the number of commands that completed with an error.
+  st->errors = pe->streamer().errors();
   *done = true;
 }
 
@@ -164,6 +171,7 @@ sim::Task spdk_run(host::System* sys, spdk::Driver* driver, const Options* opt,
   }
   st->elapsed = sys->sim().now() - t0;
   st->bytes = res.bytes;
+  st->errors = driver->io_failed();
   st->latency = std::move(res.latency);
   *done = true;
 }
@@ -200,7 +208,7 @@ int main(int argc, char** argv) {
     // snacc-lint: allow(dangling-capture): safe by construction, see above.
     auto boot = [&]() -> sim::Task {
       co_await driver->init();
-      booted = true;
+      booted = driver->initialized();
     };
     sys.sim().spawn(boot());
   } else {
@@ -244,5 +252,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   report(opt, st);
+  if (st.errors > 0) {
+    std::fprintf(stderr, "%llu commands completed with an error status\n",
+                 static_cast<unsigned long long>(st.errors));
+    return 1;
+  }
   return 0;
 }

@@ -289,9 +289,9 @@ void SnaccDevice::grant_iommu() {
 
 sim::Task SnaccDevice::init() {
   grant_iommu();
-  admin_ = std::make_unique<NvmeAdmin>(sys_.sim(), sys_.fabric(), sys_.host_mem(),
-                                       addr_map::kHostDramBase, ssd(),
-                                       cfg_.effective_admin_region());
+  admin_ = std::make_unique<nvme::NvmeAdmin>(
+      sys_.sim(), sys_.fabric(), sys_.host_mem(), addr_map::kHostDramBase,
+      ssd(), cfg_.effective_admin_region());
   co_await admin_->bring_up();
   nvme::IdentifyController id;
   co_await admin_->identify(&id);

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "host/nvme_admin.hpp"
 #include "host/system.hpp"
 #include "mem/dram.hpp"
+#include "nvme/admin.hpp"
 #include "snacc/buffer_backend.hpp"
 #include "snacc/buffer_manager.hpp"
 #include "snacc/streamer.hpp"
@@ -118,7 +118,7 @@ class SnaccDevice {
   std::unique_ptr<pcie::MemoryPortTarget> dram_target_;
 
   std::unique_ptr<core::NvmeStreamer> streamer_;
-  std::unique_ptr<NvmeAdmin> admin_;
+  std::unique_ptr<nvme::NvmeAdmin> admin_;
   Bytes read_region_base_;
   Bytes write_region_base_;
   bool initialized_ = false;

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
+#include <vector>
 
 #include "common/payload.hpp"
 #include "common/units.hpp"
@@ -20,6 +22,28 @@ namespace snacc::nvme {
 inline constexpr std::uint32_t kSqeSize = 64;
 inline constexpr std::uint32_t kCqeSize = 16;
 inline constexpr std::uint64_t kLbaSize = 4096;  // 4 KiB-formatted namespace
+
+/// Little-endian register image of `v`: the payload of an MMIO register or
+/// doorbell write (4 bytes for a 32-bit register, 8 for a base address).
+template <class T>
+  requires std::is_unsigned_v<T>
+Payload le_payload(T v) {
+  std::vector<std::byte> raw(sizeof(T));
+  std::memcpy(raw.data(), &v, sizeof(T));
+  return Payload::bytes(std::move(raw));
+}
+
+/// Decodes the little-endian `T` at byte `off` of a register image; 0 when
+/// the payload is phantom or too short.
+template <class T>
+  requires std::is_unsigned_v<T>
+T le_scalar(const Payload& p, std::size_t off = 0) {
+  T v = 0;
+  if (p.has_data() && p.size() >= off + sizeof(T)) {
+    std::memcpy(&v, p.view().data() + off, sizeof(T));
+  }
+  return v;
+}
 
 enum class IoOpcode : std::uint8_t {
   kFlush = 0x00,

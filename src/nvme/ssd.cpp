@@ -9,16 +9,6 @@ namespace snacc::nvme {
 
 namespace {
 
-/// Decodes a little-endian integer from the head of a (real) payload.
-template <class T>
-T decode_scalar(const Payload& p) {
-  T v{};
-  if (p.has_data() && p.size() >= sizeof(T)) {
-    std::memcpy(&v, p.view().data(), sizeof(T));
-  }
-  return v;
-}
-
 /// Maximum SQEs fetched in one burst read (controllers batch-fetch).
 constexpr std::uint16_t kSqeFetchBatch = 16;
 
@@ -98,7 +88,7 @@ sim::Task Ssd::handle_register_write(Bytes local, Payload data) {
         (local - reg::kDoorbellBase).value() / reg::kDoorbellStride;
     const std::uint16_t qid = static_cast<std::uint16_t>(idx / 2);
     const bool is_cq_head = (idx % 2) == 1;
-    const std::uint32_t value = decode_scalar<std::uint32_t>(data);
+    const std::uint32_t value = le_scalar<std::uint32_t>(data);
     assert(data.has_data() && "doorbell writes must carry real values");
     auto it = queues_.find(qid);
     if (it == queues_.end()) co_return;  // doorbell to nonexistent queue
@@ -113,7 +103,7 @@ sim::Task Ssd::handle_register_write(Bytes local, Payload data) {
     co_return;
   }
 
-  const std::uint32_t v32 = decode_scalar<std::uint32_t>(data);
+  const std::uint32_t v32 = le_scalar<std::uint32_t>(data);
   if (local == reg::kCc) {
     cc_ = v32;
     if ((cc_ & 1) != 0 && !csts_ready_) {
@@ -125,9 +115,9 @@ sim::Task Ssd::handle_register_write(Bytes local, Payload data) {
   } else if (local == reg::kAqa) {
     aqa_ = v32;
   } else if (local == reg::kAsq) {
-    asq_ = pcie::Addr{decode_scalar<std::uint64_t>(data)};
+    asq_ = pcie::Addr{le_scalar<std::uint64_t>(data)};
   } else if (local == reg::kAcq) {
-    acq_ = pcie::Addr{decode_scalar<std::uint64_t>(data)};
+    acq_ = pcie::Addr{le_scalar<std::uint64_t>(data)};
   }  // unimplemented registers: ignored
 }
 

@@ -10,20 +10,6 @@ namespace {
 /// Chunk size for streaming read data back to the PE.
 constexpr Bytes kStreamChunk{16 * KiB};
 
-std::uint64_t read_u64(const Payload& p, std::size_t off) {
-  std::uint64_t v = 0;
-  if (p.has_data() && p.size() >= off + 8) {
-    std::memcpy(&v, p.view().data() + off, 8);
-  }
-  return v;
-}
-
-Payload u32_payload(std::uint32_t v) {
-  std::vector<std::byte> raw(4);
-  std::memcpy(raw.data(), &v, 4);
-  return Payload::bytes(std::move(raw));
-}
-
 }  // namespace
 
 const char* variant_name(Variant v) {
@@ -53,27 +39,21 @@ Payload encode_read_command(Bytes addr, Bytes len) {
 
 bool decode_read_command(const Payload& p, Bytes* addr, Bytes* len) {
   if (!p.has_data() || p.size() < 16) return false;
-  *addr = Bytes{read_u64(p, 0)};
-  *len = Bytes{read_u64(p, 8)};
+  *addr = Bytes{nvme::le_scalar<std::uint64_t>(p, 0)};
+  *len = Bytes{nvme::le_scalar<std::uint64_t>(p, 8)};
   return true;
 }
 
 Payload encode_write_address(Bytes addr) {
-  std::vector<std::byte> raw(8);
   // snacc-lint: allow(value-escape): command wire encoding (memcpy image)
-  const std::uint64_t a = addr.value();
-  std::memcpy(raw.data(), &a, 8);
-  return Payload::bytes(std::move(raw));
+  return nvme::le_payload(addr.value());
 }
 
-Bytes decode_write_address(const Payload& p) { return Bytes{read_u64(p, 0)}; }
-
-Payload encode_flush_command() {
-  std::vector<std::byte> raw(8);
-  constexpr std::uint64_t a = kFlushAddrBit;
-  std::memcpy(raw.data(), &a, 8);
-  return Payload::bytes(std::move(raw));
+Bytes decode_write_address(const Payload& p) {
+  return Bytes{nvme::le_scalar<std::uint64_t>(p)};
 }
+
+Payload encode_flush_command() { return nvme::le_payload(kFlushAddrBit); }
 
 // ---------------------------------------------------------------------------
 
@@ -192,14 +172,14 @@ sim::Task NvmeStreamer::submit(const SubCommand& sub, bool is_write,
   // Posted doorbell: the SQE is already visible in the FIFO window.
   (void)fabric_.write(fpga_port_,
                       ssd_bar_ + nvme::reg::sq_tail_doorbell(cfg_.nvme_qid),
-                      u32_payload(sq_tail_));
+                      nvme::le_payload(std::uint32_t{sq_tail_}));
   co_return;
 }
 
 sim::Task NvmeStreamer::ring_cq_doorbell() {
   (void)fabric_.write(fpga_port_,
                       ssd_bar_ + nvme::reg::cq_head_doorbell(cfg_.nvme_qid),
-                      u32_payload(cq_head_));
+                      nvme::le_payload(std::uint32_t{cq_head_}));
   co_return;
 }
 

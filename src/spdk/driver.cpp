@@ -8,19 +8,6 @@ namespace snacc::spdk {
 
 namespace {
 
-Payload u32_payload(std::uint32_t v) {
-  std::vector<std::byte> raw(4);
-  std::memcpy(raw.data(), &v, 4);
-  return Payload::bytes(std::move(raw));
-}
-
-Payload u64_payload(std::uint64_t v) {
-  std::vector<std::byte> raw(8);
-  std::memcpy(raw.data(), &v, 8);
-  return Payload::bytes(std::move(raw));
-}
-
-constexpr std::uint16_t kAdminEntries = 16;
 constexpr std::uint16_t kIoQid = 1;
 
 }  // namespace
@@ -35,18 +22,10 @@ Driver::Driver(sim::Simulator& sim, pcie::Fabric& fabric,
       ssd_(ssd),
       host_(host),
       cfg_(cfg),
-      admin_sq_(nvme::QueueConfig{0, pcie::Addr{}, kAdminEntries}),
-      admin_cq_(nvme::QueueConfig{0, pcie::Addr{}, kAdminEntries}),
-      io_sq_(nvme::QueueConfig{kIoQid, pcie::Addr{},
+      io_sq_(nvme::QueueConfig{kIoQid, global(io_sq_off()),
                                static_cast<std::uint16_t>(cfg.queue_depth + 1)}),
-      io_cq_(nvme::QueueConfig{kIoQid, pcie::Addr{},
+      io_cq_(nvme::QueueConfig{kIoQid, global(io_cq_off()),
                                static_cast<std::uint16_t>(cfg.queue_depth + 1)}) {
-  admin_sq_ = nvme::SqRing(nvme::QueueConfig{0, global(admin_sq_off()), kAdminEntries});
-  admin_cq_ = nvme::CqRing(nvme::QueueConfig{0, global(admin_cq_off()), kAdminEntries});
-  io_sq_ = nvme::SqRing(nvme::QueueConfig{
-      kIoQid, global(io_sq_off()), static_cast<std::uint16_t>(cfg.queue_depth + 1)});
-  io_cq_ = nvme::CqRing(nvme::QueueConfig{
-      kIoQid, global(io_cq_off()), static_cast<std::uint16_t>(cfg.queue_depth + 1)});
   slots_.resize(cfg.queue_depth);
   slot_sem_ = std::make_unique<sim::Semaphore>(sim_, cfg.queue_depth);
 }
@@ -55,109 +34,29 @@ Driver::Driver(sim::Simulator& sim, pcie::Fabric& fabric,
 // Bring-up
 
 sim::Task Driver::init() {
-  const pcie::PortId root = fabric_.root_port();
-  const pcie::Addr bar = ssd_.bar_base();
-
-  // Admin queue registers, then enable.
-  co_await fabric_.write(root, bar + nvme::reg::kAsq, u64_payload(admin_sq_.config().base.value()));
-  co_await fabric_.write(root, bar + nvme::reg::kAcq, u64_payload(admin_cq_.config().base.value()));
-  const std::uint32_t aqa = (kAdminEntries - 1) | ((kAdminEntries - 1u) << 16);
-  co_await fabric_.write(root, bar + nvme::reg::kAqa, u32_payload(aqa));
-  co_await fabric_.write(root, bar + nvme::reg::kCc, u32_payload(1));
-  cpu_.charge(4 * host_.doorbell_write);
-
-  // Poll CSTS.RDY.
-  while (true) {
-    auto rr = co_await fabric_.read(root, bar + nvme::reg::kCsts, Bytes{4});
-    std::uint32_t csts = 0;
-    if (rr.data.has_data()) std::memcpy(&csts, rr.data.view().data(), 4);
-    if (csts & 1) break;
-    co_await sim_.delay(us(10));
-    cpu_.charge(us(10));  // init-time spin; not part of any measurement
-  }
-
-  // Identify controller.
-  nvme::SubmissionEntry identify;
-  identify.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::kIdentify);
-  identify.prp1 = global(identify_off());
-  identify.cdw10 = 1;  // CNS=controller
-  nvme::Status st = nvme::Status::kSuccess;
-  co_await admin_cmd(identify, &st);
-  assert(st == nvme::Status::kSuccess);
-  identify_ = nvme::IdentifyController::decode(
-      host_mem_.store().read(local(identify_off()).value(), kPageSize));
+  nvme::NvmeAdmin admin(sim_, fabric_, host_mem_, host_window_base_, ssd_,
+                        local(Bytes{}));
+  co_await admin.bring_up();
+  co_await admin.identify(&identify_);
   if (identify_.max_transfer_bytes != 0) {
     max_transfer_ = Bytes{identify_.max_transfer_bytes};
   }
-
-  // Create the I/O completion queue, then the submission queue bound to it.
-  nvme::SubmissionEntry create_cq;
-  create_cq.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::kCreateIoCq);
-  create_cq.prp1 = io_cq_.config().base;
-  create_cq.cdw10 = kIoQid | (static_cast<std::uint32_t>(io_cq_.config().entries - 1) << 16);
-  create_cq.cdw11 = 1;  // physically contiguous
-  co_await admin_cmd(create_cq, &st);
-  assert(st == nvme::Status::kSuccess);
-
-  nvme::SubmissionEntry create_sq;
-  create_sq.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::kCreateIoSq);
-  create_sq.prp1 = io_sq_.config().base;
-  create_sq.cdw10 = kIoQid | (static_cast<std::uint32_t>(io_sq_.config().entries - 1) << 16);
-  create_sq.cdw11 = (static_cast<std::uint32_t>(kIoQid) << 16) | 1;
-  co_await admin_cmd(create_sq, &st);
-  assert(st == nvme::Status::kSuccess);
-
-  initialized_ = true;
+  nvme::Status st = nvme::Status::kSuccess;
+  co_await admin.create_io_queues(kIoQid, io_sq_.config().base,
+                                  io_cq_.config().base,
+                                  io_sq_.config().entries, &st);
+  // A queue depth beyond the controller's limit fails here; I/O must not
+  // start on queues that do not exist.
+  initialized_ = st == nvme::Status::kSuccess;
 }
 
-sim::Task Driver::ring_sq_doorbell(std::uint16_t qid, std::uint16_t tail) {
+sim::Task Driver::ring_doorbell(Bytes reg, std::uint16_t value) {
   // MMIO doorbells are posted writes: the CPU pays the store cost but does
   // not wait for delivery (SQE bytes are already globally visible).
   cpu_.charge(host_.doorbell_write);
   co_await sim_.delay(host_.doorbell_write);
-  (void)fabric_.write(fabric_.root_port(),
-                      ssd_.bar_base() + nvme::reg::sq_tail_doorbell(qid),
-                      u32_payload(tail));
-}
-
-sim::Task Driver::ring_cq_doorbell(std::uint16_t qid, std::uint16_t head) {
-  cpu_.charge(host_.doorbell_write);
-  co_await sim_.delay(host_.doorbell_write);
-  (void)fabric_.write(fabric_.root_port(),
-                      ssd_.bar_base() + nvme::reg::cq_head_doorbell(qid),
-                      u32_payload(head));
-}
-
-sim::Task Driver::admin_cmd(nvme::SubmissionEntry sqe, nvme::Status* status,
-                            std::uint32_t* dw0) {
-  sqe.cid = Cid{next_cid_++};
-  auto raw = sqe.encode();
-  const Bytes sq_off =
-      (admin_sq_.config().base - host_window_base_) +
-      Bytes{static_cast<std::uint64_t>(admin_sq_.tail()) * nvme::kSqeSize};
-  host_mem_.store().write(sq_off.value(),
-                          Payload::bytes({raw.begin(), raw.end()}));
-  const std::uint16_t tail = admin_sq_.advance_tail();
-  co_await ring_sq_doorbell(0, tail);
-
-  // Poll the admin CQ.
-  while (true) {
-    Payload cqe_raw = host_mem_.store().read(
-        (admin_cq_.head_addr() - host_window_base_).value(), nvme::kCqeSize);
-    if (cqe_raw.has_data()) {
-      auto cqe = nvme::CompletionEntry::decode(cqe_raw.view());
-      if (admin_cq_.is_new(cqe) && cqe.cid == sqe.cid) {
-        admin_sq_.update_head(cqe.sq_head);
-        if (status != nullptr) *status = cqe.status;
-        if (dw0 != nullptr) *dw0 = cqe.dw0;
-        const std::uint16_t head = admin_cq_.advance();
-        co_await ring_cq_doorbell(0, head);
-        co_return;
-      }
-    }
-    co_await sim_.delay(cfg_.poll_interval);
-    cpu_.charge(cfg_.poll_interval);
-  }
+  (void)fabric_.write(fabric_.root_port(), ssd_.bar_base() + reg,
+                      nvme::le_payload(std::uint32_t{value}));
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +71,6 @@ sim::Task Driver::submit_io(const IoDesc& io, std::uint16_t slot,
   Slot& s = slots_[slot];
   s.in_use = true;
   s.completion = completion;
-  s.submitted_at = sim_.now();
 
   const pcie::Addr buf = global(buffer_off(slot));
   nvme::SubmissionEntry sqe;
@@ -208,7 +106,7 @@ sim::Task Driver::submit_io(const IoDesc& io, std::uint16_t slot,
   const std::uint16_t tail = io_sq_.advance_tail();
   cpu_.charge(cfg_.submit_overhead);
   co_await sim_.delay(cfg_.submit_overhead);
-  co_await ring_sq_doorbell(kIoQid, tail);
+  co_await ring_doorbell(nvme::reg::sq_tail_doorbell(kIoQid), tail);
 
   ++pending_;
   if (!poller_running_) {
@@ -239,7 +137,7 @@ sim::Task Driver::poller() {
           promise->set(cqe.status);
         }
         slot_sem_->release();
-        co_await ring_cq_doorbell(kIoQid, head);
+        co_await ring_doorbell(nvme::reg::cq_head_doorbell(kIoQid), head);
       }
     }
     if (!found) {
@@ -250,23 +148,37 @@ sim::Task Driver::poller() {
   poller_running_ = false;
 }
 
-sim::Task Driver::resubmit_one(IoDesc io, std::uint32_t attempt, Payload stage,
-                               nvme::Status* status, std::uint16_t* slot_out) {
-  ++io_retries_;
-  co_await sim_.delay(cfg_.retry_backoff * (1ull << (attempt - 1)));
+sim::Task Driver::claim_slot(std::uint16_t* slot) {
   co_await slot_sem_->acquire();
-  std::uint16_t slot = 0;
-  while (slots_[slot].in_use) ++slot;
-  if (slot_out != nullptr) *slot_out = slot;
+  std::uint16_t s = 0;
+  while (slots_[s].in_use) ++s;
+  *slot = s;
+}
+
+sim::Task Driver::submit_and_wait(const IoDesc& io, const Payload& stage,
+                                  std::uint16_t* slot, nvme::Status* status) {
+  co_await claim_slot(slot);
   if (stage.size() > 0) {
-    host_mem_.store().write(local(buffer_off(slot)).value(), std::move(stage));
+    host_mem_.store().write(local(buffer_off(*slot)).value(), stage);
   }
   sim::Promise<nvme::Status> promise(sim_);
   auto fut = promise.future();
-  co_await submit_io(io, slot, &promise);
-  const nvme::Status st = co_await fut;
-  if (st != nvme::Status::kSuccess) ++io_errors_;
-  *status = st;
+  co_await submit_io(io, *slot, &promise);
+  *status = co_await fut;
+}
+
+sim::Task Driver::retry(const IoDesc& io, const Payload& stage,
+                        std::uint16_t* slot, nvme::Status* status) {
+  ++io_errors_;
+  for (std::uint32_t attempt = 1;
+       *status != nvme::Status::kSuccess && attempt <= cfg_.max_retries;
+       ++attempt) {
+    ++io_retries_;
+    co_await sim_.delay(cfg_.retry_backoff * (1ull << (attempt - 1)));
+    co_await submit_and_wait(io, stage, slot, status);
+    if (*status != nvme::Status::kSuccess) ++io_errors_;
+  }
+  if (*status != nvme::Status::kSuccess) ++io_failed_;
 }
 
 sim::Task Driver::read(Lba lba, Bytes bytes, Payload* out,
@@ -276,30 +188,15 @@ sim::Task Driver::read(Lba lba, Bytes bytes, Payload* out,
   Bytes done_bytes;
   while (done_bytes < bytes) {
     const Bytes n = std::min(bytes - done_bytes, max_transfer_);
-    co_await slot_sem_->acquire();
+    const IoDesc io{false, lba + done_bytes.value() / nvme::kLbaSize, n};
     std::uint16_t slot = 0;
-    while (slots_[slot].in_use) ++slot;
-    sim::Promise<nvme::Status> promise(sim_);
-    auto fut = promise.future();
-    co_await submit_io(
-        IoDesc{false, lba + done_bytes.value() / nvme::kLbaSize, n}, slot,
-        &promise);
-    nvme::Status st = co_await fut;
+    nvme::Status st = nvme::Status::kSuccess;
+    co_await submit_and_wait(io, Payload{}, &slot, &st);
     if (st != nvme::Status::kSuccess) {
-      ++io_errors_;
-      for (std::uint32_t attempt = 1;
-           st != nvme::Status::kSuccess && attempt <= cfg_.max_retries;
-           ++attempt) {
-        // The retry claims a fresh slot; `slot` tracks it so the buffer
-        // read-back below picks up the retried command's data.
-        co_await resubmit_one(
-            IoDesc{false, lba + done_bytes.value() / nvme::kLbaSize, n},
-            attempt, Payload{}, &st, &slot);
-      }
-      if (st != nvme::Status::kSuccess) {
-        ++io_failed_;
-        final_status = st;
-      }
+      // A retry claims a fresh slot; `slot` tracks it so the buffer
+      // read-back below picks up the retried command's data.
+      co_await retry(io, Payload{}, &slot, &st);
+      if (st != nvme::Status::kSuccess) final_status = st;
     }
     // Completion-path software cost (poll pickup, buffer handoff). This is
     // the calibrated host-stack term of Fig. 4c.
@@ -320,33 +217,16 @@ sim::Task Driver::write(Lba lba, Payload data, nvme::Status* status) {
   const Bytes bytes{data.size()};
   while (done_bytes < bytes) {
     const Bytes n = std::min(bytes - done_bytes, max_transfer_);
-    co_await slot_sem_->acquire();
-    std::uint16_t slot = 0;
-    while (slots_[slot].in_use) ++slot;
+    const IoDesc io{true, lba + done_bytes.value() / nvme::kLbaSize, n};
     // Zero-copy model: the application produced the data in the pinned
-    // buffer; make it visible to the device.
-    host_mem_.store().write(local(buffer_off(slot)).value(),
-                            data.slice(done_bytes.value(), n.value()));
-    sim::Promise<nvme::Status> promise(sim_);
-    auto fut = promise.future();
-    co_await submit_io(
-        IoDesc{true, lba + done_bytes.value() / nvme::kLbaSize, n}, slot,
-        &promise);
-    nvme::Status st = co_await fut;
+    // buffer; staging makes it visible to the device.
+    const Payload chunk = data.slice(done_bytes.value(), n.value());
+    std::uint16_t slot = 0;
+    nvme::Status st = nvme::Status::kSuccess;
+    co_await submit_and_wait(io, chunk, &slot, &st);
     if (st != nvme::Status::kSuccess) {
-      ++io_errors_;
-      for (std::uint32_t attempt = 1;
-           st != nvme::Status::kSuccess && attempt <= cfg_.max_retries;
-           ++attempt) {
-        // Restage the chunk: the failed attempt's buffer slot was recycled.
-        co_await resubmit_one(
-            IoDesc{true, lba + done_bytes.value() / nvme::kLbaSize, n}, attempt,
-            data.slice(done_bytes.value(), n.value()), &st, nullptr);
-      }
-      if (st != nvme::Status::kSuccess) {
-        ++io_failed_;
-        final_status = st;
-      }
+      co_await retry(io, chunk, &slot, &st);
+      if (st != nvme::Status::kSuccess) final_status = st;
     }
     co_await sim_.delay(host_.spdk_write_stack);
     done_bytes += n;
@@ -378,13 +258,8 @@ sim::Task Driver::run_workload(const std::vector<IoDesc>& ios,
     auto fut = t->promise.future();
     nvme::Status st = co_await fut;
     if (st != nvme::Status::kSuccess) {
-      ++self->io_errors_;
-      for (std::uint32_t attempt = 1;
-           st != nvme::Status::kSuccess && attempt <= self->cfg_.max_retries;
-           ++attempt) {
-        co_await self->resubmit_one(t->io, attempt, Payload{}, &st, nullptr);
-      }
-      if (st != nvme::Status::kSuccess) ++self->io_failed_;
+      std::uint16_t slot = 0;
+      co_await self->retry(t->io, Payload{}, &slot, &st);
     }
     const TimePs stack = t->io.is_write ? self->host_.spdk_write_stack
                                         : self->host_.spdk_read_stack;
@@ -394,9 +269,8 @@ sim::Task Driver::run_workload(const std::vector<IoDesc>& ios,
   };
 
   for (const IoDesc& io : ios) {
-    co_await slot_sem_->acquire();
     std::uint16_t slot = 0;
-    while (slots_[slot].in_use) ++slot;
+    co_await claim_slot(&slot);
     auto tracker = std::make_unique<Tracker>(
         Tracker{sim::Promise<nvme::Status>(sim_), sim_.now(), io});
     sim_.spawn(finisher(this, tracker.get(), result, &wg));

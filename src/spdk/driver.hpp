@@ -9,13 +9,14 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/calibration.hpp"
 #include "common/cpu_account.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "nvme/admin.hpp"
 #include "nvme/queues.hpp"
 #include "nvme/spec.hpp"
 #include "nvme/ssd.hpp"
@@ -51,8 +52,9 @@ class Driver {
          pcie::Addr host_window_base, nvme::Ssd& ssd, const HostProfile& host,
          DriverConfig cfg = {});
 
-  /// Full controller bring-up through real admin commands: register setup,
-  /// CSTS poll, Identify, Create I/O CQ + SQ. Must complete before I/O.
+  /// Full controller bring-up through real admin commands (nvme::NvmeAdmin):
+  /// register setup, CSTS poll, Identify, Create I/O CQ + SQ. Must complete
+  /// before I/O; initialized() reports whether the I/O queues exist.
   sim::Task init();
   bool initialized() const { return initialized_; }
   const nvme::IdentifyController& identify_data() const { return identify_; }
@@ -85,7 +87,6 @@ class Driver {
   struct Slot {
     bool in_use = false;
     sim::Promise<nvme::Status>* completion = nullptr;  // owned by submitter
-    TimePs submitted_at;
   };
 
   struct IoDesc {
@@ -94,19 +95,12 @@ class Driver {
     Bytes bytes;
   };
 
-  /// One retry attempt: backoff, claim a fresh slot, optionally restage
-  /// `stage` into the slot's pinned buffer (writes), resubmit and wait.
-  sim::Task resubmit_one(IoDesc io, std::uint32_t attempt, Payload stage,
-                         nvme::Status* status, std::uint16_t* slot_out);
-
   // Region layout (local offsets inside the driver's host-memory region).
   Bytes local(Bytes off) const { return cfg_.region_offset + off; }
   pcie::Addr global(Bytes off) const { return host_window_base_ + local(off); }
-  Bytes admin_sq_off() const { return Bytes{}; }
-  Bytes admin_cq_off() const { return Bytes{4 * KiB}; }
-  Bytes identify_off() const { return Bytes{8 * KiB}; }
-  // The I/O rings scale with the configured queue depth (qd+1 entries).
-  Bytes io_sq_off() const { return Bytes{12 * KiB}; }
+  // The region opens with the admin queues that init() boots through; the
+  // I/O rings scale with the configured queue depth (qd+1 entries).
+  Bytes io_sq_off() const { return nvme::NvmeAdmin::kRegionBytes; }
   Bytes io_cq_off() const {
     return io_sq_off() +
            page_align_up(Bytes{(cfg_.queue_depth + 1ull) * nvme::kSqeSize});
@@ -121,17 +115,31 @@ class Driver {
            max_transfer_ * static_cast<std::uint64_t>(slot);
   }
 
-  sim::Task admin_cmd(nvme::SubmissionEntry sqe, nvme::Status* status,
-                      std::uint32_t* dw0 = nullptr);
-  sim::Task ring_sq_doorbell(std::uint16_t qid, std::uint16_t tail);
-  sim::Task ring_cq_doorbell(std::uint16_t qid, std::uint16_t head);
+  /// Posted MMIO write of `value` to the I/O queue doorbell at `reg`.
+  sim::Task ring_doorbell(Bytes reg, std::uint16_t value);
+
+  /// Waits for a free command slot and claims it.
+  sim::Task claim_slot(std::uint16_t* slot);
 
   /// Writes the SQE + PRP list into host memory and rings the doorbell.
   /// The slot must already be claimed.
   sim::Task submit_io(const IoDesc& io, std::uint16_t slot,
                       sim::Promise<nvme::Status>* completion);
 
-  /// Polls the I/O CQ until `pending_` drains to zero and `draining_` is set.
+  /// Claims a slot, stages `stage` into its pinned buffer when non-empty
+  /// (writes), submits `io` and waits for its completion status.
+  sim::Task submit_and_wait(const IoDesc& io, const Payload& stage,
+                            std::uint16_t* slot, nvme::Status* status);
+
+  /// The one error-recovery routine of every I/O path: counts the error
+  /// completion in `*status`, resubmits up to max_retries times with a
+  /// doubling backoff (restaging `stage`: the failed attempt's slot was
+  /// recycled) and counts the command as failed if no attempt succeeds.
+  /// `*slot` follows the resubmitted command.
+  sim::Task retry(const IoDesc& io, const Payload& stage, std::uint16_t* slot,
+                  nvme::Status* status);
+
+  /// Polls the I/O CQ until `pending_` drains to zero.
   sim::Task poller();
 
   /// Shared engine for run_sequential / run_random.
@@ -149,8 +157,6 @@ class Driver {
   nvme::IdentifyController identify_;
   bool initialized_ = false;
 
-  nvme::SqRing admin_sq_;
-  nvme::CqRing admin_cq_;
   nvme::SqRing io_sq_;
   nvme::CqRing io_cq_;
 
@@ -160,7 +166,6 @@ class Driver {
   bool poller_running_ = false;
 
   CpuAccount cpu_{"spdk-thread"};
-  std::uint16_t next_cid_ = 0;
 
   std::uint64_t io_errors_ = 0;
   std::uint64_t io_retries_ = 0;

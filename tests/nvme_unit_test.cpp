@@ -7,9 +7,9 @@
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "host/system.hpp"
+#include "nvme/admin.hpp"
 #include "nvme/prp.hpp"
 #include "nvme/queues.hpp"
-#include "host/nvme_admin.hpp"
 #include "nvme/spec.hpp"
 #include "spdk/driver.hpp"
 
@@ -247,9 +247,9 @@ TEST_F(CtrlFixture, ControllerRegistersReadBack) {
 
 TEST(CtrlAdmin, ProtocolErrorsSurfaceInCompletions) {
   host::System sys;
-  host::NvmeAdmin admin(sys.sim(), sys.fabric(), sys.host_mem(),
-                        host::addr_map::kHostDramBase, sys.ssd(),
-                        /*region=*/Bytes{128 * MiB});
+  NvmeAdmin admin(sys.sim(), sys.fabric(), sys.host_mem(),
+                  host::addr_map::kHostDramBase, sys.ssd(),
+                  /*region=*/Bytes{128 * MiB});
   bool done = false;
   Status sq_without_cq{};
   Status bad_opcode{};
@@ -284,6 +284,26 @@ TEST(CtrlAdmin, ProtocolErrorsSurfaceInCompletions) {
   EXPECT_EQ(sq_without_cq, Status::kInvalidQueueId);
   EXPECT_EQ(bad_opcode, Status::kInvalidOpcode);
   EXPECT_EQ(oversized_cq, Status::kInvalidQueueSize);
+}
+
+TEST(CtrlAdmin, DriverInitFailsBeyondQueueLimit) {
+  host::System sys;
+  spdk::DriverConfig dcfg;
+  // qd+1 ring entries exceed the controller's max_queue_entries.
+  dcfg.queue_depth =
+      static_cast<std::uint16_t>(sys.config().profile.ssd.max_queue_entries);
+  spdk::Driver driver(sys.sim(), sys.fabric(), sys.host_mem(),
+                      host::addr_map::kHostDramBase, sys.ssd(),
+                      sys.config().profile.host, dcfg);
+  bool done = false;
+  auto boot = [&]() -> sim::Task {
+    co_await driver.init();
+    done = true;
+  };
+  sys.sim().spawn(boot());
+  sys.sim().run_until(seconds(1));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(driver.initialized());
 }
 
 TEST_F(CtrlFixture, UnknownOpcodeCompletesWithError) {
@@ -392,6 +412,77 @@ TEST(CtrlFault, DriverRetryRecoversTransientNandFault) {
   EXPECT_EQ(driver.io_retries(), 1u);
   EXPECT_EQ(driver.io_failed(), 0u);
   EXPECT_EQ(sys.ssd().read_errors(), 1u);
+}
+
+TEST(CtrlFault, DriverWriteRetryRestagesPayload) {
+  host::System sys;
+  spdk::DriverConfig dcfg;
+  dcfg.max_retries = 2;
+  dcfg.retry_backoff = ms(1);
+  spdk::Driver driver(sys.sim(), sys.fabric(), sys.host_mem(),
+                      host::addr_map::kHostDramBase, sys.ssd(),
+                      sys.config().profile.host, dcfg);
+  const Payload other = Payload::filled(4 * kLbaSize, 0x22);
+  const Payload data = Payload::filled(4 * kLbaSize, 0x42);
+  bool booted = false;
+  int finished = 0;
+  Status st{};
+  Payload got;
+  auto writer = [&]() -> sim::Task {
+    co_await driver.init();
+    co_await driver.write(Lba{900}, other);
+    booted = true;
+    // The first program of this write fails; the retry must restage it.
+    sys.ssd().nand().set_program_fault_plan(fault::FaultPlan::at({0}));
+    co_await driver.write(Lba{700}, data, &st);
+    co_await driver.read(Lba{700}, Bytes{4 * kLbaSize}, &got);
+    ++finished;
+  };
+  // During the writer's backoff, read other data into the slot the failed
+  // attempt freed: a retry that reused the stale buffer would write it.
+  auto clobber = [&]() -> sim::Task {
+    while (!booted || driver.io_errors() == 0) co_await sys.sim().delay(us(1));
+    co_await driver.read(Lba{900}, Bytes{4 * kLbaSize}, nullptr);
+    ++finished;
+  };
+  sys.sim().spawn(writer());
+  sys.sim().spawn(clobber());
+  sys.sim().run_until(seconds(2));
+  ASSERT_EQ(finished, 2);
+  EXPECT_EQ(st, Status::kSuccess);
+  EXPECT_TRUE(got.content_equals(data));
+  EXPECT_EQ(driver.io_errors(), 1u);
+  EXPECT_EQ(driver.io_retries(), 1u);
+  EXPECT_EQ(driver.io_failed(), 0u);
+  EXPECT_EQ(sys.ssd().write_errors(), 1u);
+}
+
+TEST(CtrlFault, PipelinedReadRetryRecoversNandFault) {
+  host::System sys;
+  spdk::DriverConfig dcfg;
+  dcfg.max_retries = 1;
+  spdk::Driver driver(sys.sim(), sys.fabric(), sys.host_mem(),
+                      host::addr_map::kHostDramBase, sys.ssd(),
+                      sys.config().profile.host, dcfg);
+  spdk::WorkloadResult res;
+  bool done = false;
+  auto io = [&]() -> sim::Task {
+    co_await driver.init();
+    sys.ssd().nand().set_read_fault_plan(fault::FaultPlan::at({5}));
+    co_await driver.run_sequential(/*is_write=*/false, Lba{}, Bytes{256 * KiB},
+                                   Bytes{16 * KiB}, &res);
+    done = true;
+  };
+  sys.sim().spawn(io());
+  sys.sim().run_until(seconds(2));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(res.commands, 16u);
+  EXPECT_EQ(res.bytes, 256 * KiB);
+  EXPECT_EQ(res.latency.count(), 16u);
+  EXPECT_EQ(sys.ssd().nand().read_faults_injected(), 1u);
+  EXPECT_EQ(driver.io_errors(), 1u);
+  EXPECT_EQ(driver.io_retries(), 1u);
+  EXPECT_EQ(driver.io_failed(), 0u);
 }
 
 TEST(CtrlRaw, ErrorCqeCarriesCorrectPhaseTag) {

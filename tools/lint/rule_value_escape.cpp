@@ -58,7 +58,7 @@ const std::vector<PolicyEntry>& value_escape_policy() {
       {"src/sim/", "generic event kernel takes raw counts, not device units"},
       {"src/nvme/", "NVMe wire formats (SQE/CQE/PRP) and NAND byte geometry"},
       {"src/spdk/", "host driver writing raw register/queue-entry images"},
-      {"src/host/", "host DRAM sizing and admin command wire encoding"},
+      {"src/host/", "host DRAM sizing"},
       {"src/snacc/prp_engine.", "synthesizes raw PRP entries for the SSD"},
       {"src/snacc/buffer_backend.", "adapter onto the raw mem:: port API"},
       {"src/pcie/memory_target.", "adapter onto the raw mem:: port API"},
